@@ -7,23 +7,24 @@ therefore reduces to a point on the top edge {[t, 1] : t in [-1, 1]}
 without changing any norm ratio, and sweeping that single edge bounds the
 T-step contraction ratio from anywhere, up to grid resolution.
 
-The sweep is embarrassingly parallel: disjoint t-ranges can be evaluated by
-any number of workers and the final maximum is an order-insensitive
-reduction (ties broken toward smaller t), so results are bit-identical for
-every worker count.
+The sweep steps a chunk of starts at a time through the element-wise
+kernel km_step, so memory stays bounded for any grid.  Chunks run in
+increasing t and each keeps its first maximum, so ties go to the smaller t
+and the result is bit-identical for every chunk size.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .bounds import beta_l, pseudo_period
 from .errors import OutOfRangeError
-from .rotation import Angle, RotationOp, Vec2, _averaged_linf_step
+from .rotation import Angle, RotationOp, Vec2, km_step
 
 # Four-decimal reference factors for common angles, reproduced by
 # search_beta_u at the default grid_step of 1e-4.
@@ -36,6 +37,12 @@ REFERENCE_BETA_U: dict[Angle, float] = {
 }
 
 _REFINE_FACTOR = 10
+# Starts (or trials) stepped together; bounds the memory of one batch.
+_CHUNK = 4096
+# The grid step range of search_beta_u.  The lower end caps the coarse
+# sweep at 2e6 + 1 starts.
+MIN_GRID_STEP = 1e-6
+MAX_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,68 +75,47 @@ class PeriodCheckReport:
         return self.upper_violations == 0 and self.lower_violations == 0
 
 
-def _period_ratio(c: float, s: float, period: int, t: float) -> float:
-    # ||x_{1+T}||_inf / ||x_1||_inf from the edge start [t, 1]; the start
-    # norm is exactly 1 there.
-    x1, x2 = t, 1.0
+def _edge_max(c: float, s: float, period: int, ts: np.ndarray) -> tuple[float, float]:
+    # The largest ||x_{1+T}||_inf over the edge starts [t, 1], t in ts
+    # (ascending), and the first t attaining it; the start norm is 1.
+    x1, x2 = ts, np.ones_like(ts)
     for _ in range(period):
-        x1, x2 = _averaged_linf_step(c, s, 0.5, x1, x2)
-    return max(abs(x1), abs(x2))
+        x1, x2 = km_step(c, s, 0.5, x1, x2, True)
+    ratio = np.maximum(np.abs(x1), np.abs(x2))
+    i = int(np.argmax(ratio))
+    return float(ratio[i]), float(ts[i])
 
 
-def _sweep(c: float, s: float, period: int, ts: list[float]) -> tuple[float, float]:
-    best, best_t = -1.0, 0.0
-    for t in ts:
-        r = _period_ratio(c, s, period, t)
-        if r > best:
-            best, best_t = r, t
-    return best, best_t
-
-
-def search_beta_u(theta: Angle, grid_step: float = 1e-4, workers: int = 1) -> BetaSearchResult:
+def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
     """Sweep the top edge of the square and return the worst T-step ratio.
 
     The coarse sweep uses round(2 / grid_step) + 1 evenly spaced starts on
     [-1, 1]; a second pass at grid_step / 10 around the coarse argmax
     stabilizes the fourth decimal.  Requires theta in (0, pi/2] in lowest
-    terms and grid_step <= 1e-3.
+    terms and grid_step in [MIN_GRID_STEP, MAX_GRID_STEP].
     """
     if theta.fraction > Fraction(1, 2):
         raise OutOfRangeError(f"contraction search needs theta in (0, pi/2]: got {theta}")
-    if not 0.0 < grid_step <= 1e-3:
-        raise ValueError(f"grid_step must lie in (0, 1e-3]: got {grid_step}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: got {workers}")
+    if not MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP:
+        raise ValueError(f"grid_step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]: got {grid_step}")
 
     period = pseudo_period(theta)
     op = RotationOp(theta)
     c, s = op.cos_theta, op.sin_theta
 
     n = round(2.0 / grid_step)
-    ts = [-1.0 + (2.0 * i) / n for i in range(n + 1)]
-
-    if workers == 1:
-        candidates = [_sweep(c, s, period, ts)]
-    else:
-        size = -(-len(ts) // workers)
-        chunks = [ts[i : i + size] for i in range(0, len(ts), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(lambda chunk: _sweep(c, s, period, chunk), chunks))
-
     best, best_t = -1.0, 0.0
-    for r, t in candidates:
-        # ties go to the smaller t so the reduction is order-insensitive
-        if r > best or (r == best and t < best_t):
+    for lo in range(0, n + 1, _CHUNK):
+        ts = -1.0 + (2.0 * np.arange(lo, min(lo + _CHUNK, n + 1))) / n
+        r, t = _edge_max(c, s, period, ts)
+        if r > best:
             best, best_t = r, t
 
+    # The fine starts include best_t itself, so their first maximum is the
+    # refined result, ties again going to the smaller t.
     span = 2.0 / n
     fine = [best_t + span * j / _REFINE_FACTOR for j in range(-_REFINE_FACTOR, _REFINE_FACTOR + 1)]
-    for t in fine:
-        if not -1.0 <= t <= 1.0:
-            continue
-        r = _period_ratio(c, s, period, t)
-        if r > best or (r == best and t < best_t):
-            best, best_t = r, t
+    best, best_t = _edge_max(c, s, period, np.array([t for t in fine if -1.0 <= t <= 1.0]))
 
     return BetaSearchResult(theta, period, best, Vec2(best_t, 1.0), grid_step)
 
@@ -145,8 +131,10 @@ def verify_period_contraction(
 
     Each trial starts from a random direction scaled to the square, advances
     a random offset i - 1 so x_i sits at an arbitrary point of an actual
-    trajectory, then takes one more pseudo-period.  Tolerance is absolute;
-    starts are unit scale and max-norm iterates never grow.
+    trajectory, then takes one more pseudo-period.  Trials are stepped
+    together in chunks; the report does not depend on the chunk size.
+    Tolerance is absolute; starts are unit scale and max-norm iterates
+    never grow by more than rounding.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1: got {trials}")
@@ -159,23 +147,25 @@ def verify_period_contraction(
     upper_violations = 0
     lower_violations = 0
     min_ratio, max_ratio = float("inf"), float("-inf")
-    for _ in range(trials):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        x1, x2 = _unit_square_point(phi)
-        offset = rng.randrange(1, 2 * period + 1)
-        for _ in range(offset - 1):
-            x1, x2 = _averaged_linf_step(c, s, 0.5, x1, x2)
-        n_i = max(abs(x1), abs(x2))
-        for _ in range(period):
-            x1, x2 = _averaged_linf_step(c, s, 0.5, x1, x2)
-        n_f = max(abs(x1), abs(x2))
+    for lo in range(0, trials, _CHUNK):
+        # the draws keep the per-trial order (direction, then offset)
+        draws = [(rng.uniform(0.0, 2.0 * math.pi), rng.randrange(1, 2 * period + 1))
+                 for _ in range(min(_CHUNK, trials - lo))]
+        x1, x2 = np.array([_unit_square_point(phi) for phi, _ in draws]).T
+        first = np.array([offset - 1 for _, offset in draws])
+        n_i = np.empty(len(draws))
+        n_f = np.empty(len(draws))
+        for k in range(int(first.max()) + period + 1):
+            if k:
+                x1, x2 = km_step(c, s, 0.5, x1, x2, True)
+            norm = np.maximum(np.abs(x1), np.abs(x2))
+            np.copyto(n_i, norm, where=first == k)
+            np.copyto(n_f, norm, where=first + period == k)
         ratio = n_f / n_i
-        min_ratio = min(min_ratio, ratio)
-        max_ratio = max(max_ratio, ratio)
-        if n_f > beta_u * n_i + tol:
-            upper_violations += 1
-        if n_f < lower * n_i - tol:
-            lower_violations += 1
+        min_ratio = min(min_ratio, float(ratio.min()))
+        max_ratio = max(max_ratio, float(ratio.max()))
+        upper_violations += int(np.count_nonzero(n_f > beta_u * n_i + tol))
+        lower_violations += int(np.count_nonzero(n_f < lower * n_i - tol))
 
     return PeriodCheckReport(theta, period, trials, upper_violations, lower_violations, min_ratio, max_ratio)
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 
-from .beta_search import REFERENCE_BETA_U, search_beta_u
+from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
 from .bounds import l2_bound, linf_bound
 from .engine import Schedule, ScheduleKind, run_km
 from .errors import KmrotError, MissingBetaUError
@@ -37,16 +38,6 @@ def _angle_arg(text: str) -> Angle:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _alpha_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1): got {text}")
-    return value
-
-
 def _vec2_arg(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
@@ -57,44 +48,31 @@ def _vec2_arg(text: str) -> Vec2:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: got {text}")
-    return value
+def _number_arg(convert: type, lo: float, hi: float, rule: str):
+    """An argparse type: text parsed by `convert` (int or float) into [lo, hi].
+
+    The chained comparison is false for nan, and a finite hi excludes inf.
+    """
+    noun = "an integer" if convert is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{rule}: got {text}")
+        return value
+
+    return parse
 
 
-def _nonneg_float_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: got {text}")
-    return value
-
-
-def _seed_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in an unsigned 64-bit integer: got {text}")
-    return value
-
-
-def _grid_step_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value <= 1e-3:
-        raise argparse.ArgumentTypeError(f"grid step must lie in (0, 1e-3]: got {text}")
-    return value
+_alpha_arg = _number_arg(float, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), "alpha must lie in (0, 1)")
+_count_arg = _number_arg(int, 1, math.inf, "must be >= 1")
+_nonneg_arg = _number_arg(float, 0.0, sys.float_info.max, "must be finite and >= 0")
+_seed_arg = _number_arg(int, 0, 2**64 - 1, "seed must fit in an unsigned 64-bit integer")
+_grid_step_arg = _number_arg(float, MIN_GRID_STEP, MAX_GRID_STEP,
+                             f"grid step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]")
 
 
 _SCHEDULES = {
@@ -153,7 +131,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_search_beta(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    res = search_beta_u(args.theta, args.grid_step, workers=args.workers)
+    res = search_beta_u(args.theta, args.grid_step)
     row = [
         f"{res.theta.p}/{res.theta.q}",
         str(res.period),
@@ -175,7 +153,7 @@ def _cmd_mc(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         seed=args.seed,
         norm_kind=NormKind(args.norm),
     )
-    res = run_stochastic_km(cfg, workers=args.workers)
+    res = run_stochastic_km(cfg)
     rows = []
     for i, (m, se) in enumerate(zip(res.mean_sq_norm, res.std_err)):
         if res.bound is not None:
@@ -204,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--norm", choices=["l2", "linf"], default="l2")
         p.add_argument("--x1", type=_vec2_arg, default=Vec2(10.0, 30.0), metavar="A,B",
                        help="initial iterate")
-        p.add_argument("--steps", type=_positive_int_arg, default=100)
+        p.add_argument("--steps", type=_count_arg, default=100)
         if with_schedule:
             p.add_argument("--schedule", choices=sorted(_SCHEDULES), default="const")
         p.add_argument("--out", default=None, metavar="PATH", help="output CSV path (default stdout)")
@@ -223,18 +201,16 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser("search-beta", help="brute-force the per-period contraction factor")
     search.add_argument("--theta", type=_angle_arg, required=True, metavar="P/Q")
     search.add_argument("--grid-step", type=_grid_step_arg, default=1e-4)
-    search.add_argument("--workers", type=_positive_int_arg, default=1)
     search.add_argument("--out", default=None, metavar="PATH")
     search.set_defaults(handler=_cmd_search_beta)
 
     mc = sub.add_parser("mc", help="Monte Carlo runs of the noisy iteration")
     add_common(mc, with_schedule=False)
-    mc.add_argument("--A", type=_nonneg_float_arg, default=2.0, help="additive noise second moment")
-    mc.add_argument("--B", type=_nonneg_float_arg, default=0.0,
+    mc.add_argument("--A", type=_nonneg_arg, default=2.0, help="additive noise second moment")
+    mc.add_argument("--B", type=_nonneg_arg, default=0.0,
                     help="state-proportional noise coefficient")
-    mc.add_argument("--replicas", type=_positive_int_arg, default=10_000)
+    mc.add_argument("--replicas", type=_count_arg, default=10_000)
     mc.add_argument("--seed", type=_seed_arg, default=0)
-    mc.add_argument("--workers", type=_positive_int_arg, default=1)
     mc.set_defaults(handler=_cmd_mc)
 
     return parser

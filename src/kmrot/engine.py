@@ -92,9 +92,9 @@ def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2, step
     """Iterate x_{k+1} = (1 - alpha_k) x_k + alpha_k T(x_k) for k = 1 .. steps-1.
 
     Returns all `steps` iterates including the start.  The max-norm variant
-    keeps norms non-increasing for every angle; the Euclidean variant
-    contracts the squared norm by an exact per-step factor when the
-    schedule is constant.
+    keeps norms non-increasing for every angle up to rounding (one step can
+    end 1 ulp above the last norm); the Euclidean variant contracts the
+    squared norm by an exact per-step factor when the schedule is constant.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1: got {steps}")

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidAlphaError, ZeroVectorError
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -170,11 +172,19 @@ def norm(x: Vec2, kind: NormKind) -> float:
 def gamma(op: RotationOp, x: Vec2) -> float:
     """Rescaling factor ||x||_inf / ||Rx||_inf; lies in [sqrt(2)/2, sqrt(2)].
 
+    x is first scaled by the power of two that brings ||x||_inf into
+    [0.5, 1).  The ratio is scale-invariant and the scaling is exact, so
+    the result has the same bits as the unscaled formula unless a rotated
+    product rounds to a subnormal.  Near the subnormal range the scaled
+    formula keeps the rotated components that the unscaled one loses.
+
     Undefined at the origin: callers must treat the zero vector as the fixed
     point and never ask for its rescaling.
     """
     if x.is_zero():
         raise ZeroVectorError("gamma is undefined at the zero vector")
+    e = -math.frexp(max(abs(x.x1), abs(x.x2)))[1]
+    x = Vec2(math.ldexp(x.x1, e), math.ldexp(x.x2, e))
     rx = rotate(op, x)
     return max(abs(x.x1), abs(x.x2)) / max(abs(rx.x1), abs(rx.x2))
 
@@ -183,8 +193,8 @@ def normalized_rotate(op: RotationOp, x: Vec2) -> Vec2:
     """Rotate x and rescale the image back onto the max-norm sphere of x.
 
     Equals gamma(op, x) * Rx.  Computed as (||x||_inf * Rx) / ||Rx||_inf,
-    multiplying before dividing, so the extremal component of the image
-    lands exactly on +-||x||_inf instead of one rounding away from it.
+    multiplying before dividing.  The extremal component of the image is
+    +-||x||_inf up to rounding: (m * rx) / mr can land 1 ulp above m.
     """
     if x.is_zero():
         raise ZeroVectorError("normalized rotation is undefined at the zero vector")
@@ -196,33 +206,61 @@ def normalized_rotate(op: RotationOp, x: Vec2) -> Vec2:
     return Vec2((m * rx1) / mr, (m * rx2) / mr)
 
 
-def _averaged_linf_step(c: float, s: float, alpha: float, x1: float, x2: float) -> tuple[float, float]:
-    # Float core of the max-norm averaged step, shared by the trajectory
-    # engine, the contraction sweep, and the period checker so all of them
-    # produce bit-identical iterates.
-    m = max(abs(x1), abs(x2))
-    rx1 = c * x1 - s * x2
-    rx2 = s * x1 + c * x2
-    mr = max(abs(rx1), abs(rx2))
-    n1 = (m * rx1) / mr
-    n2 = (m * rx2) / mr
-    return (1.0 - alpha) * x1 + alpha * n1, (1.0 - alpha) * x2 + alpha * n2
-
-
 def apply_averaged(op: RotationOp, kind: NormKind, alpha: float, x: Vec2) -> Vec2:
     """One averaged step (1 - alpha) * x + alpha * T(x).
 
     T is the plain rotation under the Euclidean norm (the Euclidean
     rescaling factor is identically 1) and the rescaled rotation under the
-    max norm.  The origin is an absorbing fixed point in both cases.
+    max norm.  The origin is an absorbing fixed point in both cases.  This
+    is the scalar reference for km_step, which repeats its expressions.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in (0, 1): got {alpha}")
     if x.is_zero():
         return Vec2(0.0, 0.0)
     c, s = op.cos_theta, op.sin_theta
-    if kind is NormKind.L2:
-        rx1 = c * x.x1 - s * x.x2
-        rx2 = s * x.x1 + c * x.x2
-        return Vec2((1.0 - alpha) * x.x1 + alpha * rx1, (1.0 - alpha) * x.x2 + alpha * rx2)
-    return Vec2(*_averaged_linf_step(c, s, alpha, x.x1, x.x2))
+    t1 = c * x.x1 - s * x.x2
+    t2 = s * x.x1 + c * x.x2
+    if kind is NormKind.LINF:
+        m = max(abs(x.x1), abs(x.x2))
+        mr = max(abs(t1), abs(t2))
+        t1, t2 = (m * t1) / mr, (m * t2) / mr
+    return Vec2((1.0 - alpha) * x.x1 + alpha * t1, (1.0 - alpha) * x.x2 + alpha * t2)
+
+
+def km_step(
+    c: float,
+    s: float,
+    alpha: float,
+    x1: np.ndarray,
+    x2: np.ndarray,
+    linf: bool,
+    w1: np.ndarray | None = None,
+    w2: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The averaged step (1 - alpha) * x + alpha * (T(x) + w) on float64 arrays.
+
+    Element-wise over the points (x1[i], x2[i]) of 1-D arrays, with the
+    rotation given by c = cos(theta) and s = sin(theta).  T is the rescaled
+    rotation when `linf` is set and the plain one otherwise; T fixes the
+    origin.  The noise w1, w2 is added to T(x) only when given.  Without it
+    every element is bit-identical to apply_averaged on that point, down to
+    the sign of zero: the origin maps to +0.0, and no zero is added, since
+    t + 0.0 would turn t = -0.0 into +0.0.
+    """
+    t1 = c * x1 - s * x2
+    t2 = s * x1 + c * x2
+    if linf:
+        m = np.maximum(np.abs(x1), np.abs(x2))
+        mr = np.maximum(np.abs(t1), np.abs(t2))
+        mr[mr == 0.0] = 1.0  # only at the origin, where m is 0
+        t1 = (m * t1) / mr
+        t2 = (m * t2) / mr
+    if w1 is None:
+        origin = (x1 == 0.0) & (x2 == 0.0)
+        t1[origin] = 0.0
+        t2[origin] = 0.0
+    else:
+        t1 = t1 + w1
+        t2 = t2 + w2
+    return (1.0 - alpha) * x1 + alpha * t1, (1.0 - alpha) * x2 + alpha * t2

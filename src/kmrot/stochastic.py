@@ -9,21 +9,20 @@ max-norm variant is simulation only and carries no bound.
 
 Reproducibility: replica r draws all of its Gaussians from a generator
 seeded by (seed, r), so per-replica paths never depend on how replicas are
-chunked or spread over workers, and the final means use exact column sums
-(math.fsum), which are insensitive to accumulation order.
+chunked, and the final means use exact column sums (math.fsum), which are
+insensitive to accumulation order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundCurve, noise_bound
 from .errors import UnstableError
-from .rotation import Angle, NormKind, RotationOp, Vec2
+from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
 
 _CHUNK = 2048
 
@@ -100,13 +99,10 @@ def draw_noise(noise: NoiseParams, x: Vec2, rng: np.random.Generator) -> Vec2:
 
 
 def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int, stop: int) -> np.ndarray:
-    # Vectorized over the replicas of one chunk; all element-wise, so the
-    # per-replica paths are bit-identical to a scalar loop using the same
-    # expressions and the same (seed, r) generator.
+    # Vectorized over the replicas of one chunk; km_step is element-wise,
+    # so the per-replica paths do not depend on the chunk bounds.
     steps = cfg.steps
     m = stop - start
-    c, s = op.cos_theta, op.sin_theta
-    alpha = cfg.alpha
     a, b = cfg.noise.a, cfg.noise.b
     linf = cfg.norm_kind is NormKind.LINF
 
@@ -125,43 +121,23 @@ def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int, stop: int) -> np.
             sq[:, j] = sq_l2
         if j == steps - 1:
             break
-        rx1 = c * x1 - s * x2
-        rx2 = s * x1 + c * x2
-        if linf:
-            mr = np.maximum(np.abs(rx1), np.abs(rx2))
-            safe = np.where(mr == 0.0, 1.0, mr)
-            t1 = (mx * rx1) / safe
-            t2 = (mx * rx2) / safe
-        else:
-            t1, t2 = rx1, rx2
         scale = np.sqrt((a + b * sq_l2) * 0.5)
-        x1 = (1.0 - alpha) * x1 + alpha * (t1 + scale * z[j, :, 0])
-        x2 = (1.0 - alpha) * x2 + alpha * (t2 + scale * z[j, :, 1])
+        x1, x2 = km_step(op.cos_theta, op.sin_theta, cfg.alpha, x1, x2, linf,
+                         scale * z[j, :, 0], scale * z[j, :, 1])
     return sq
 
 
-def run_stochastic_km(cfg: McConfig, workers: int = 1) -> McResult:
+def run_stochastic_km(cfg: McConfig) -> McResult:
     """Run `replicas` independent chains and average the squared norms.
 
-    Identical configs give identical results for any worker count: replicas
+    Identical configs give identical results for any chunk size: replicas
     own their noise streams and aggregation sums each column exactly.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: got {workers}")
-
     sq = np.empty((cfg.replicas, cfg.steps))
     op = RotationOp(cfg.theta)
-    ranges = [(lo, min(lo + _CHUNK, cfg.replicas)) for lo in range(0, cfg.replicas, _CHUNK)]
-    if workers == 1:
-        for lo, hi in ranges:
-            sq[lo:hi] = _simulate_chunk(cfg, op, lo, hi)
-    else:
-        def fill(bounds: tuple[int, int]) -> None:
-            lo, hi = bounds
-            sq[lo:hi] = _simulate_chunk(cfg, op, lo, hi)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
+    for lo in range(0, cfg.replicas, _CHUNK):
+        hi = min(lo + _CHUNK, cfg.replicas)
+        sq[lo:hi] = _simulate_chunk(cfg, op, lo, hi)
 
     n = cfg.replicas
     mean = []

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
     McConfig,
@@ -214,7 +215,7 @@ def test_c10_schedule_ordering():
     _report(10, "after 1e4 steps: 1/log fastest, then 1/sqrt(k), then 1/k (over 10x slower)")
 
 
-def test_c11_determinism(tmp_path, capsys):
+def test_c11_determinism(tmp_path, capsys, monkeypatch):
     argv = ["mc", "--theta", "1/4", "--alpha", "0.5", "--x1", "1,3", "--A", "2", "--B", "0",
             "--replicas", "10000", "--steps", "100", "--seed", str(MC_SEED)]
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -226,9 +227,10 @@ def test_c11_determinism(tmp_path, capsys):
         theta=Angle(1, 4), alpha=0.5, x1=Vec2(1.0, 3.0),
         noise=NoiseParams(2.0, 0.0), replicas=10_000, steps=100, seed=MC_SEED,
     )
-    baseline = run_stochastic_km(cfg, workers=1)
-    for workers in (2, 4):
-        res = run_stochastic_km(cfg, workers=workers)
+    baseline = run_stochastic_km(cfg)
+    for chunk in (1000, 4999):
+        monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+        res = run_stochastic_km(cfg)
         assert res.mean_sq_norm == baseline.mean_sq_norm
         assert res.std_err == baseline.std_err
-    _report(11, "same seed gives byte-identical CSV; worker counts agree bit for bit")
+    _report(11, "same seed gives byte-identical CSV; chunk sizes agree bit for bit")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
     NormKind,
@@ -16,6 +17,7 @@ from kmrot import (
     run_km,
     search_beta_u,
 )
+from kmrot.beta_search import MIN_GRID_STEP
 
 from _support import parse_csv, run_cli
 
@@ -152,7 +154,7 @@ class TestSearchBeta:
 
     def test_matches_library_result(self, capsys):
         code, out, _ = run_cli(
-            ["search-beta", "--theta", "1/6", "--grid-step", "1e-3", "--workers", "2"],
+            ["search-beta", "--theta", "1/6", "--grid-step", "1e-3"],
             capsys,
         )
         assert code == 0
@@ -169,6 +171,13 @@ class TestSearchBeta:
     def test_bad_grid_step_exits_2(self, capsys):
         code, _, _ = run_cli(["search-beta", "--theta", "1/3", "--grid-step", "0.01"], capsys)
         assert code == 2
+
+    def test_grid_step_below_lower_bound_exits_2(self, capsys):
+        assert run_cli(["search-beta", "--theta", "1/2", "--grid-step", repr(MIN_GRID_STEP)], capsys)[0] == 0
+        for tiny in (repr(MIN_GRID_STEP / 2), "5e-324"):
+            code, _, err = run_cli(["search-beta", "--theta", "1/4", "--grid-step", tiny], capsys)
+            assert code == 2
+            assert "grid step" in err
 
 
 class TestMc:
@@ -207,12 +216,13 @@ class TestMc:
         _, rows = parse_csv(out)
         assert all(r[3] == "" and r[4] == "" for r in rows)
 
-    def test_same_seed_same_bytes(self, capsys, tmp_path):
+    def test_same_seed_same_bytes(self, capsys, tmp_path, monkeypatch):
         argv = ["mc", "--theta", "1/4", "--x1", "1,3", "--A", "2", "--B", "0",
                 "--replicas", "300", "--steps", "30", "--seed", "77"]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(argv + ["--out", str(first)], capsys)[0] == 0
-        assert run_cli(argv + ["--out", str(second), "--workers", "3"], capsys)[0] == 0
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        assert run_cli(argv + ["--out", str(second)], capsys)[0] == 0
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -229,6 +239,13 @@ class TestUsageErrors:
             ["mc", "--theta", "1/4", "--seed", "-1"],
             ["mc", "--theta", "1/4", "--A", "-2"],
             ["unknown-command"],
+            ["mc", "--theta", "1/4", "--A", "inf"],
+            ["mc", "--theta", "1/4", "--A", "nan"],
+            ["mc", "--theta", "1/4", "--B", "inf"],
+            ["mc", "--theta", "1/4", "--B", "nan"],
+            ["simulate", "--theta", "1/4", "--alpha", "nan"],
+            ["search-beta", "--theta", "1/4", "--grid-step", "inf"],
+            ["mc", "--theta", "1/4", "--workers", "2"],
         ],
     )
     def test_exit_code_2(self, argv, capsys):

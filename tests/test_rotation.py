@@ -2,10 +2,13 @@
 
 import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kmrot import (
@@ -24,6 +27,7 @@ from kmrot import (
     sin_cos_pi,
 )
 from kmrot.bounds import mu
+from kmrot.rotation import km_step
 
 angles = st.integers(1, 64).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Angle(p, q)))
 coords = st.floats(min_value=-1e6, max_value=1e6)
@@ -32,8 +36,19 @@ vectors = st.builds(Vec2, coords, coords)
 # properties are checked at moderate scale without loss of generality
 unit_scale_vectors = st.builds(Vec2, st.floats(-100, 100), st.floats(-100, 100))
 alphas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+signed_coords = st.one_of(st.sampled_from([0.0, -0.0]), coords)
+point_lists = st.lists(st.tuples(signed_coords, signed_coords), min_size=1, max_size=16)
+normal_coords = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _rotation_stays_normal(op, x):
+    """True when no product or sum in rotate(op, x) rounds to a subnormal."""
+    c, s = op.cos_theta, op.sin_theta
+    rx = rotate(op, x)
+    steps = (c * x.x1, s * x.x2, s * x.x1, c * x.x2, rx.x1, rx.x2)
+    return all(v == 0.0 or abs(v) >= sys.float_info.min for v in steps)
 
 
 class TestAngle:
@@ -159,11 +174,39 @@ class TestGamma:
             gamma(RotationOp(Angle(1, 4)), Vec2(0.0, 0.0))
 
     @given(angles, vectors)
+    @example(Angle(1, 4), Vec2(5e-324, 5e-324))
+    @example(Angle(1, 4), Vec2(1.5e-323, 0.0))
     def test_range(self, a, x):
         if x.is_zero():
             return
         g = gamma(RotationOp(a), x)
         assert SQRT2 / 2 - 1e-12 <= g <= SQRT2 + 1e-12
+
+    @given(angles, st.builds(Vec2, normal_coords, normal_coords))
+    @example(Angle(1, 4), Vec2(1e6, 3.0))
+    @example(Angle(1, 3), Vec2(3e-300, -1e-300))
+    def test_prescaling_keeps_normal_results(self, a, x):
+        # exact power-of-two scaling changes no bit unless a product or sum of
+        # the rotation rounds to a subnormal, with or without the scaling; near
+        # the subnormal range (e.g. x = (-4.04e-308, 3.66e-308) at 57pi/41) the
+        # two formulas differ in the last bit
+        if x.is_zero():
+            return
+        op = RotationOp(a)
+        e = -math.frexp(max(abs(x.x1), abs(x.x2)))[1]
+        scaled = Vec2(math.ldexp(x.x1, e), math.ldexp(x.x2, e))
+        if not (_rotation_stays_normal(op, x) and _rotation_stays_normal(op, scaled)):
+            return
+        rx = rotate(op, x)
+        assert gamma(op, x) == max(abs(x.x1), abs(x.x2)) / max(abs(rx.x1), abs(rx.x2))
+
+    @pytest.mark.parametrize("p, q, x", [(1, 4, Vec2(1e6, 3e-308)), (1, 2, Vec2(-2.5e-308, 7.0))])
+    def test_prescaling_mixed_scales(self, p, q, x):
+        # a tiny coordinate next to a large one: its products are subnormal in
+        # one formula or both, but far below the last bit of the larger one
+        op = RotationOp(Angle(p, q))
+        rx = rotate(op, x)
+        assert gamma(op, x) == max(abs(x.x1), abs(x.x2)) / max(abs(rx.x1), abs(rx.x2))
 
     def test_range_bulk_sweep(self):
         # module invariant: 1e5 random (theta, x) pairs stay inside [sqrt2/2, sqrt2]
@@ -260,3 +303,31 @@ class TestApplyAveraged:
         lhs = out.x1 * out.x1 + out.x2 * out.x2
         rhs = mu(alpha, a) * (x.x1 * x.x1 + x.x2 * x.x2)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-280)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+class TestKmStep:
+    @given(angles, alphas, point_lists, st.sampled_from(NormKind))
+    @example(Angle(1, 4), 0.5, [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], NormKind.L2)
+    @example(Angle(1, 4), 0.5, [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], NormKind.LINF)
+    @example(Angle(1, 1), 0.5, [(-0.0, 3.0), (-0.0, -3.0), (2.0, -0.0)], NormKind.L2)
+    @example(Angle(1, 64), 0.5, [(-0.0, 5e-324), (5e-324, -0.0)], NormKind.LINF)
+    def test_matches_apply_averaged_bitwise(self, a, alpha, points, kind):
+        op = RotationOp(a)
+        x1 = np.array([p[0] for p in points])
+        x2 = np.array([p[1] for p in points])
+        y1, y2 = km_step(op.cos_theta, op.sin_theta, alpha, x1, x2, kind is NormKind.LINF)
+        for p, got1, got2 in zip(points, y1.tolist(), y2.tolist()):
+            expected = apply_averaged(op, kind, alpha, Vec2(*p))
+            assert (_bits(got1), _bits(got2)) == (_bits(expected.x1), _bits(expected.x2))
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_noise_moves_the_origin(self, kind):
+        op = RotationOp(Angle(1, 3))
+        zero = np.zeros(2)
+        w1, w2 = np.array([0.5, -0.0]), np.array([-2.0, 0.0])
+        y1, y2 = km_step(op.cos_theta, op.sin_theta, 0.25, zero, zero, kind is NormKind.LINF, w1, w2)
+        assert y1.tolist() == [0.125, 0.0] and y2.tolist() == [-0.5, 0.0]

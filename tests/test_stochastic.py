@@ -55,10 +55,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_config(seed=2**64)
 
-    def test_workers(self):
-        with pytest.raises(ValueError):
-            run_stochastic_km(make_config(), workers=0)
-
 
 class TestDrawNoise:
     def test_zero_mean(self):
@@ -112,12 +108,16 @@ class TestRunStochastic:
         assert a.mean_sq_norm == b.mean_sq_norm
         assert a.std_err == b.std_err
 
-    def test_worker_count_does_not_change_result(self):
-        baseline = run_stochastic_km(make_config(replicas=400), workers=1)
-        for workers in (2, 3):
-            res = run_stochastic_km(make_config(replicas=400), workers=workers)
-            assert res.mean_sq_norm == baseline.mean_sq_norm
-            assert res.std_err == baseline.std_err
+    def test_chunk_count_does_not_change_result(self, monkeypatch):
+        # the replicas of both norms split into 400, 58, 3 and 2 chunks
+        configs = [make_config(replicas=400, norm_kind=kind) for kind in NormKind]
+        baselines = [run_stochastic_km(cfg) for cfg in configs]
+        for chunk in (1, 7, 149, 399):
+            monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+            for cfg, baseline in zip(configs, baselines):
+                chunked = run_stochastic_km(cfg)
+                assert chunked.mean_sq_norm == baseline.mean_sq_norm
+                assert chunked.std_err == baseline.std_err
 
     def test_chunk_size_does_not_change_result(self, monkeypatch):
         baseline = run_stochastic_km(make_config(replicas=100))
