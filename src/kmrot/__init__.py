@@ -28,6 +28,7 @@ from .errors import (
     InvalidAlphaError,
     KmrotError,
     MissingBetaUError,
+    NonFiniteError,
     OutOfRangeError,
     UnstableError,
     UnsupportedAlphaError,
@@ -38,7 +39,6 @@ from .rotation import (
     NormKind,
     RotationOp,
     Vec2,
-    angle_radians,
     apply_averaged,
     gamma,
     norm,
@@ -51,7 +51,6 @@ from .stochastic import (
     McConfig,
     McResult,
     NoiseParams,
-    draw_noise,
     replica_rng,
     run_stochastic_km,
 )
@@ -68,6 +67,7 @@ __all__ = [
     "McResult",
     "MissingBetaUError",
     "NoiseParams",
+    "NonFiniteError",
     "NormKind",
     "OutOfRangeError",
     "PeriodCheckReport",
@@ -80,10 +80,8 @@ __all__ = [
     "UnsupportedAlphaError",
     "Vec2",
     "ZeroVectorError",
-    "angle_radians",
     "apply_averaged",
     "beta_l",
-    "draw_noise",
     "gamma",
     "l2_bound",
     "linf_bound",

@@ -8,12 +8,14 @@ the mean-square noise bound).  Bounds exist only for constant step sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     InvalidAlphaError,
     MissingBetaUError,
+    NonFiniteError,
     OutOfRangeError,
     UnstableError,
     UnsupportedAlphaError,
@@ -52,24 +54,32 @@ def _check_k_max(k_max: int) -> None:
         raise ValueError(f"k_max must be >= 1: got {k_max}")
 
 
+def _check_initial(d: float, name: str = "initial distance") -> None:
+    if not math.isfinite(d):
+        raise NonFiniteError(f"{name} must be finite: got {d}")
+    if d < 0.0:
+        raise ValueError(f"{name} must be >= 0: got {d}")
+
+
 def mu(alpha: float, theta: Angle) -> float:
     """Exact one-step contraction factor of the squared Euclidean norm.
 
-    mu = 1 - 2*alpha + 2*alpha^2 + 2*alpha*(1 - alpha)*cos(theta), which is
-    also (alpha - 1)^2 + 2*alpha*(1 - alpha)*cos(theta) + alpha^2.  Strictly
-    below 1 for theta in (0, 2*pi).
+    mu = 1 - 2*alpha + 2*alpha^2 + 2*alpha*(1 - alpha)*cos(theta), evaluated
+    as (1 - 2*alpha)^2 + 2*alpha*(1 - alpha)*(1 + cos(theta)): both terms are
+    >= 0, so nothing cancels near theta = pi.  Strictly below 1 for theta in
+    (0, 2*pi).
     """
     _check_alpha(alpha)
     _, c = sin_cos_pi(theta.fraction)
-    return 1.0 - 2.0 * alpha + 2.0 * alpha * alpha + 2.0 * alpha * (1.0 - alpha) * c
+    u = 1.0 - 2.0 * alpha
+    return u * u + 2.0 * alpha * (1.0 - alpha) * (1.0 + c)
 
 
 def l2_bound(theta: Angle, alpha: float, d: float, k_max: int) -> BoundCurve:
     """Euclidean bound mu^((k-1)/2) * D; tight (the recursion is exact)."""
     _check_alpha(alpha)
     _check_k_max(k_max)
-    if d < 0.0:
-        raise ValueError(f"initial distance must be >= 0: got {d}")
+    _check_initial(d)
     g = mu(alpha, theta)
     values = tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1))
     return BoundCurve("l2", theta, alpha, d, values)
@@ -124,8 +134,7 @@ def linf_bound(
     """
     _check_alpha(alpha)
     _check_k_max(k_max)
-    if d < 0.0:
-        raise ValueError(f"initial distance must be >= 0: got {d}")
+    _check_initial(d)
     effective = theta if theta.fraction <= 1 else theta.mirrored()
     f = effective.fraction
 
@@ -176,8 +185,7 @@ def noise_bound(
     squared Euclidean norm, not the norm itself.
     """
     _check_k_max(k_max)
-    if d_sq < 0.0:
-        raise ValueError(f"initial squared distance must be >= 0: got {d_sq}")
+    _check_initial(d_sq, "initial squared distance")
     if a < 0.0 or b < 0.0:
         raise ValueError(f"noise parameters must be >= 0: a={a}, b={b}")
     m = mu(alpha, theta)

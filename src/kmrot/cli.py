@@ -10,10 +10,10 @@ emits a CSV table (UTF-8, comma separated, LF line endings) with reals at
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from fractions import Fraction
+from contextlib import nullcontext
+from itertools import count
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
 from .bounds import l2_bound, linf_bound
@@ -25,10 +25,6 @@ from .stochastic import McConfig, NoiseParams, run_stochastic_km
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _angle_arg(text: str) -> Angle:
@@ -75,74 +71,68 @@ _grid_step_arg = _number_arg(float, MIN_GRID_STEP, MAX_GRID_STEP,
                              f"grid step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]")
 
 
-_SCHEDULES = {
-    "const": ScheduleKind.CONSTANT,
-    "invlog": ScheduleKind.INV_LOG,
-    "invsqrt": ScheduleKind.INV_SQRT,
-    "invk": ScheduleKind.INV_K,
-}
-
-
-def _schedule_from(args: argparse.Namespace) -> Schedule:
-    kind = _SCHEDULES[args.schedule]
-    if kind is ScheduleKind.CONSTANT:
-        return Schedule.constant(args.alpha)
-    return Schedule(kind)
-
-
 def _bound_values(args: argparse.Namespace, d: float, steps: int) -> tuple[float, ...] | None:
-    """Bound curve for a constant-step configuration, None when no formula covers it."""
-    if args.schedule != "const":
+    """Bound curve for a constant-step configuration, None when no formula covers it.
+
+    linf_bound decides whether the angle needs a per-period factor; only
+    then is one taken, at the folded angle, from the built-in table or a
+    fresh search.
+    """
+    if args.schedule != ScheduleKind.CONSTANT.value:
         return None
-    if args.norm == "l2":
+    if args.norm == NormKind.L2.value:
         return l2_bound(args.theta, args.alpha, d, steps).values
-    beta_u = None
+    try:
+        return linf_bound(args.theta, args.alpha, d, steps).values
+    except MissingBetaUError:
+        pass
     effective = args.theta if args.theta.fraction <= 1 else args.theta.mirrored()
-    if effective.fraction < Fraction(1, 2) and args.alpha == 0.5:
-        if args.beta_table == "search":
-            beta_u = search_beta_u(effective).beta_u
-        else:
-            beta_u = REFERENCE_BETA_U.get(effective)
-            if beta_u is None:
-                raise MissingBetaUError(
-                    f"no built-in contraction factor for theta = {effective}; "
-                    "run 'search-beta' or pass '--beta-table search'"
-                )
+    if args.beta_table == "search":
+        beta_u = search_beta_u(effective).beta_u
+    else:
+        beta_u = REFERENCE_BETA_U.get(effective)
+        if beta_u is None:
+            raise MissingBetaUError(
+                f"no built-in contraction factor for theta = {effective}; "
+                "run 'search-beta' or pass '--beta-table search'"
+            )
     return linf_bound(args.theta, args.alpha, d, steps, beta_u).values
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    schedule = _schedule_from(args)
-    kind = NormKind(args.norm)
-    traj = run_km(args.theta, kind, schedule, args.x1, args.steps)
+def _rows(fmt: str, *columns) -> list[str]:
+    """One CSV line per row: fmt % (k, column values), with k counted from 1."""
+    return [fmt % row for row in zip(count(1), *columns)]
+
+
+def _cmd_simulate(args: argparse.Namespace) -> tuple[str, list[str]]:
+    kind = ScheduleKind(args.schedule)
+    schedule = Schedule(kind, args.alpha if kind is ScheduleKind.CONSTANT else None)
+    traj = run_km(args.theta, NormKind(args.norm), schedule, args.x1, args.steps)
     bound = _bound_values(args, traj.norms[0], args.steps)
-    rows = []
-    for i, (point, value) in enumerate(zip(traj.points, traj.norms)):
-        cell = _fmt(bound[i]) if bound is not None else ""
-        rows.append([str(i + 1), _fmt(point.x1), _fmt(point.x2), _fmt(value), cell])
-    return ["k", "x1", "x2", "norm_value", "bound_value"], rows
+    x1s = [p.x1 for p in traj.points]
+    x2s = [p.x2 for p in traj.points]
+    header = "k,x1,x2,norm_value,bound_value\n"
+    if bound is None:
+        return header, _rows("%d,%.17g,%.17g,%.17g,\n", x1s, x2s, traj.norms)
+    return header, _rows("%d,%.17g,%.17g,%.17g,%.17g\n", x1s, x2s, traj.norms, bound)
 
 
-def _cmd_bound(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
-    d = norm(args.x1, NormKind(args.norm))
-    values = _bound_values(args, d, args.steps)
-    rows = [[str(i + 1), _fmt(v)] for i, v in enumerate(values)]
-    return ["k", "bound_value"], rows
+def _cmd_bound(args: argparse.Namespace) -> tuple[str, list[str]]:
+    values = _bound_values(args, norm(args.x1, NormKind(args.norm)), args.steps)
+    if values is None:
+        raise KmrotError(f"bounds exist only for the const schedule: got {args.schedule}")
+    return "k,bound_value\n", _rows("%d,%.17g\n", values)
 
 
-def _cmd_search_beta(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, list[str]]:
     res = search_beta_u(args.theta, args.grid_step)
-    row = [
-        f"{res.theta.p}/{res.theta.q}",
-        str(res.period),
-        _fmt(res.beta_u),
-        _fmt(res.argmax_start.x1),
-        _fmt(res.grid_step),
-    ]
-    return ["theta", "period", "beta_u", "argmax_t", "grid_step"], [row]
+    row = "%d/%d,%d,%.17g,%.17g,%.17g\n" % (
+        res.theta.p, res.theta.q, res.period, res.beta_u, res.argmax_start.x1, res.grid_step
+    )
+    return "theta,period,beta_u,argmax_t,grid_step\n", [row]
 
 
-def _cmd_mc(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
+def _cmd_mc(args: argparse.Namespace) -> tuple[str, list[str]]:
     cfg = McConfig(
         theta=args.theta,
         alpha=args.alpha,
@@ -154,16 +144,12 @@ def _cmd_mc(args: argparse.Namespace) -> tuple[list[str], list[list[str]]]:
         norm_kind=NormKind(args.norm),
     )
     res = run_stochastic_km(cfg)
-    rows = []
-    for i, (m, se) in enumerate(zip(res.mean_sq_norm, res.std_err)):
-        if res.bound is not None:
-            bound_cell, flag = _fmt(res.bound.values[i]), "0"
-        elif res.unstable:
-            bound_cell, flag = "", "1"
-        else:
-            bound_cell, flag = "", ""
-        rows.append([str(i + 1), _fmt(m), _fmt(se), bound_cell, flag])
-    return ["k", "mean_sq_norm", "std_err", "bound_sq", "bound_unstable"], rows
+    header = "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
+    if res.bound is not None:
+        return header, _rows("%d,%.17g,%.17g,%.17g,0\n",
+                             res.mean_sq_norm, res.std_err, res.bound.values)
+    fmt = "%d,%.17g,%.17g,,1\n" if res.unstable else "%d,%.17g,%.17g,,\n"
+    return header, _rows(fmt, res.mean_sq_norm, res.std_err)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,12 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=_angle_arg, required=True, metavar="P/Q",
                        help="rotation angle as a rational multiple of pi")
         p.add_argument("--alpha", type=_alpha_arg, default=0.5, help="step size in (0, 1)")
-        p.add_argument("--norm", choices=["l2", "linf"], default="l2")
+        p.add_argument("--norm", choices=[kind.value for kind in NormKind],
+                       default=NormKind.L2.value)
         p.add_argument("--x1", type=_vec2_arg, default=Vec2(10.0, 30.0), metavar="A,B",
                        help="initial iterate")
         p.add_argument("--steps", type=_count_arg, default=100)
         if with_schedule:
-            p.add_argument("--schedule", choices=sorted(_SCHEDULES), default="const")
+            p.add_argument("--schedule", choices=sorted(kind.value for kind in ScheduleKind),
+                           default=ScheduleKind.CONSTANT.value)
         p.add_argument("--out", default=None, metavar="PATH", help="output CSV path (default stdout)")
 
     sim = sub.add_parser("simulate", help="run an iteration and emit iterates, norms, and bound values")
@@ -216,16 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(header: list[str], rows: list[list[str]], out: str | None) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(header: str, rows: list[str], out: str | None) -> None:
+    sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
+    with sink as handle:
+        handle.write(header)
+        handle.writelines(rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,6 +9,9 @@ from dataclasses import dataclass
 from .rotation import Angle, NormKind, RotationOp, Vec2, apply_averaged, norm
 
 
+CLIP_MAX = 0.99
+
+
 class ScheduleKind(enum.Enum):
     CONSTANT = "const"
     INV_LOG = "invlog"
@@ -22,16 +25,13 @@ class Schedule:
 
     Decaying rules exceed 1 for small k (1/log at k = 1, 1/sqrt(k) and 1/k
     at k = 1), where the step would be pure rotation and make no progress,
-    so emitted values are clipped to clip_max < 1.
+    so emitted values are clipped to CLIP_MAX < 1.
     """
 
     kind: ScheduleKind
     alpha: float | None = None
-    clip_max: float = 0.99
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.clip_max < 1.0:
-            raise ValueError(f"clip_max must lie in (0, 1): got {self.clip_max}")
         if self.kind is ScheduleKind.CONSTANT:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
                 raise ValueError(f"constant schedule needs alpha in (0, 1): got {self.alpha}")
@@ -56,16 +56,16 @@ class Schedule:
 
 
 def step_size(s: Schedule, k: int) -> float:
-    """alpha_k for 1-indexed step k.  Always in (0, clip_max]."""
+    """alpha_k for 1-indexed step k.  Always in (0, CLIP_MAX]."""
     if k < 1:
         raise ValueError(f"step index is 1-based: got {k}")
     if s.kind is ScheduleKind.CONSTANT:
         return s.alpha
     if s.kind is ScheduleKind.INV_LOG:
-        return min(s.clip_max, 1.0 / math.log(k + 1))
+        return min(CLIP_MAX, 1.0 / math.log(k + 1))
     if s.kind is ScheduleKind.INV_SQRT:
-        return min(s.clip_max, 1.0 / math.sqrt(k))
-    return min(s.clip_max, 1.0 / k)
+        return min(CLIP_MAX, 1.0 / math.sqrt(k))
+    return min(CLIP_MAX, 1.0 / k)
 
 
 @dataclass(frozen=True)

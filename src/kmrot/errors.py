@@ -9,6 +9,10 @@ class ZeroVectorError(KmrotError):
     """The operation is undefined at the zero vector."""
 
 
+class NonFiniteError(KmrotError, ValueError):
+    """A coordinate or an initial distance is infinite or nan."""
+
+
 class InvalidAlphaError(KmrotError):
     """Step size outside the open interval (0, 1)."""
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidAlphaError, ZeroVectorError
+from .errors import InvalidAlphaError, NonFiniteError, ZeroVectorError
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -126,7 +126,7 @@ class Vec2:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise ValueError(f"coordinates must be finite: ({self.x1}, {self.x2})")
+            raise NonFiniteError(f"coordinates must be finite: ({self.x1}, {self.x2})")
 
     def is_zero(self) -> bool:
         return self.x1 == 0.0 and self.x2 == 0.0
@@ -149,11 +149,6 @@ class RotationOp:
         s, c = sin_cos_pi(self.angle.fraction)
         object.__setattr__(self, "sin_theta", s)
         object.__setattr__(self, "cos_theta", c)
-
-
-def angle_radians(a: Angle) -> float:
-    """theta = (p/q)*pi in double precision."""
-    return math.pi * (a.p / a.q)
 
 
 def rotate(op: RotationOp, x: Vec2) -> Vec2:

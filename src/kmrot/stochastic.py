@@ -86,18 +86,6 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, replica]))
 
 
-def draw_noise(noise: NoiseParams, x: Vec2, rng: np.random.Generator) -> Vec2:
-    """One noise vector: each component N(0, (a + b*||x||_2^2) / 2).
-
-    The per-component variance is half the affine budget, so the total
-    second moment meets E||w||^2 = a + b*||x||^2 with equality.
-    """
-    sq = x.x1 * x.x1 + x.x2 * x.x2
-    sigma = math.sqrt((noise.a + noise.b * sq) * 0.5)
-    z = rng.standard_normal(2)
-    return Vec2(sigma * z[0], sigma * z[1])
-
-
 def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int, stop: int) -> np.ndarray:
     # Vectorized over the replicas of one chunk; km_step is element-wise,
     # so the per-replica paths do not depend on the chunk bounds.

@@ -9,6 +9,7 @@ from kmrot import (
     Angle,
     InvalidAlphaError,
     MissingBetaUError,
+    NonFiniteError,
     NormKind,
     OutOfRangeError,
     Schedule,
@@ -234,6 +235,16 @@ class TestNoiseBound:
             noise_bound(Angle(1, 4), 0.5, 10.0, 1.0, -0.1, 5)
         with pytest.raises(ValueError):
             noise_bound(Angle(1, 4), 0.5, -1.0, 1.0, 0.0, 5)
+
+
+@pytest.mark.parametrize("d", [math.inf, math.nan])
+def test_non_finite_initial_distance_rejected(d):
+    with pytest.raises(NonFiniteError):
+        l2_bound(Angle(1, 6), 0.5, d, 3)
+    with pytest.raises(NonFiniteError):
+        linf_bound(Angle(1, 2), 0.5, d, 3)
+    with pytest.raises(NonFiniteError):
+        noise_bound(Angle(1, 6), 0.5, d, 1.0, 0.0, 3)
 
 
 class TestDominanceSmoke:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import kmrot.cli as cli
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
@@ -135,6 +136,12 @@ class TestBound:
         assert [float(r[1]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
 
 
+    def test_decaying_schedule_exits_3(self, capsys):
+        code, out, err = run_cli(["bound", "--theta", "1/4", "--schedule", "invsqrt"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: bounds exist only for the const schedule: got invsqrt\n"
+
+
 class TestSearchBeta:
     def test_row_contents(self, capsys):
         code, out, _ = run_cli(
@@ -246,11 +253,131 @@ class TestUsageErrors:
             ["simulate", "--theta", "1/4", "--alpha", "nan"],
             ["search-beta", "--theta", "1/4", "--grid-step", "inf"],
             ["mc", "--theta", "1/4", "--workers", "2"],
+            ["simulate", "--theta", "1/4", "--x1", "1,inf"],
+            ["bound", "--theta", "1/4", "--x1", "nan,0"],
         ],
     )
     def test_exit_code_2(self, argv, capsys):
         code, _, _ = run_cli(argv, capsys)
         assert code == 2
+
+
+class TestNonFiniteState:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "simulate --theta 1/6 --norm linf --x1 1e155,1e155 --steps 3",
+            "simulate --theta 1/6 --norm l2 --x1 1.5e308,-1.5e308 --steps 3",
+            "bound --theta 1/6 --norm l2 --x1 1.5e308,1.5e308 --steps 3",
+        ],
+    )
+    def test_exits_3_with_one_line(self, argv, capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+
+class TestCsvBytes:
+    """The CSV contract byte by byte: cell spelling, empty cells, flags, signed zeros."""
+
+    CASES = {
+        "simulate --theta 1/6 --norm linf --x1 3,-7 --steps 4": (
+            "k,x1,x2,norm_value,bound_value\n"
+            "1,3,-7,7,7\n"
+            "2,5,-6.1184688152946407,6.1184688152946407,7\n"
+            "3,5.5592344076473204,-4.2179313570966643,5.5592344076473204,7\n"
+            "4,5.5592344076473204,-2.4595465789037436,5.5592344076473204,7\n"
+        ),
+        "simulate --theta 1/4 --schedule invsqrt --steps 3": (
+            "k,x1,x2,norm_value,bound_value\n"
+            "1,10,30,31.622776601683793,\n"
+            "2,-13.900714267493642,28.301428534987284,31.530948515188911,\n"
+            "3,-25.17249634685276,15.48965363437814,29.556453475431038,\n"
+        ),
+        "simulate --theta 1/6 --x1=-0,-0 --steps 3": (
+            "k,x1,x2,norm_value,bound_value\n"
+            "1,-0,-0,0,0\n"
+            "2,0,0,0,0\n"
+            "3,0,0,0,0\n"
+        ),
+        "bound --theta 1/3 --steps 3": (
+            "k,bound_value\n"
+            "1,31.622776601683793\n"
+            "2,27.386127875258303\n"
+            "3,23.717082451262844\n"
+        ),
+        "search-beta --theta 1/3 --grid-step 1e-3": (
+            "theta,period,beta_u,argmax_t,grid_step\n"
+            "1/3,3,0.68300145915827803,0.87599999999999989,0.001\n"
+        ),
+        "mc --theta 1/4 --x1 1,3 --replicas 20 --steps 3 --seed 5": (
+            "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
+            "1,10,0,10,0\n"
+            "2,7.8929727907921237,0.56221116377396363,9.0355339059327378,0\n"
+            "3,8.0542217676345675,0.76748711330732167,8.2123106012293743,0\n"
+        ),
+        "mc --theta 1/4 --x1 1,3 --A 0.1 --B 0.6 --replicas 20 --steps 3 --seed 3": (
+            "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
+            "1,10,0,,1\n"
+            "2,8.3326559288995519,0.9501280658088791,,1\n"
+            "3,8.3833392515514209,1.5200914175698323,,1\n"
+        ),
+        "mc --theta 1/4 --norm linf --x1 1,3 --A 0.5 --replicas 20 --steps 3 --seed 3": (
+            "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
+            "1,9,0,,\n"
+            "2,8.4991511820667913,0.30329063015466168,,\n"
+            "3,6.8026861508216623,0.53252120384805368,,\n"
+        ),
+        "mc --theta 1/6 --x1=-0,-0 --replicas 4 --steps 2": (
+            "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
+            "1,0,0,0,0\n"
+            "2,0.11457443229922204,0.048838975879158662,0.5,0\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(CASES))
+    def test_stdout(self, argv, capsys):
+        assert run_cli(argv.split(), capsys) == (0, self.CASES[argv], "")
+
+    @pytest.mark.parametrize("argv", sorted(CASES))
+    def test_out_file_has_the_stdout_bytes(self, argv, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        assert run_cli(argv.split() + ["--out", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == self.CASES[argv].encode()
+
+
+class TestTracedNames:
+    """bench/layers.py times the library by swapping these names in kmrot.cli.
+
+    Each must stay a module global that the CLI looks up at call time, or
+    the per-layer metrics it feeds read zero.
+    """
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("run_km", "simulate --theta 1/4 --steps 3"),
+            ("l2_bound", "bound --theta 1/4 --steps 3"),
+            ("linf_bound", "bound --theta 1/2 --norm linf --steps 3"),
+            ("search_beta_u", "search-beta --theta 1/3 --grid-step 1e-3"),
+            ("run_stochastic_km", "mc --theta 1/4 --replicas 5 --steps 3"),
+        ],
+    )
+    def test_cli_calls_the_module_global(self, name, argv, capsys, monkeypatch):
+        calls = []
+        real = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        assert run_cli(argv.split(), capsys)[0] == 0
+        assert calls
+        if name == "run_km":
+            assert calls[0][4] == 3  # the tracer counts steps from the 5th positional argument
 
 
 class TestModuleEntry:

@@ -19,6 +19,7 @@ from kmrot import (
     search_beta_u,
     step_size,
 )
+from kmrot.engine import CLIP_MAX
 
 from _support import sample_angle
 
@@ -45,7 +46,7 @@ class TestStepSize:
     def test_emitted_values_in_range(self, schedule):
         for k in range(1, 2001):
             a = step_size(schedule, k)
-            assert 0.0 < a <= schedule.clip_max
+            assert 0.0 < a <= CLIP_MAX
 
     def test_k_is_one_based(self):
         with pytest.raises(ValueError):
@@ -58,8 +59,6 @@ class TestStepSize:
             Schedule(ScheduleKind.CONSTANT)
         with pytest.raises(ValueError):
             Schedule(ScheduleKind.INV_LOG, alpha=0.5)
-        with pytest.raises(ValueError):
-            Schedule(ScheduleKind.INV_K, clip_max=1.0)
 
 
 class TestRunKm:

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from kmrot import (
     Angle,
     InvalidAlphaError,
+    NonFiniteError,
     NormKind,
     RotationOp,
     Vec2,
     ZeroVectorError,
-    angle_radians,
     apply_averaged,
     gamma,
     norm,
@@ -75,11 +75,6 @@ class TestAngle:
         assert Angle(7, 4).mirrored() == Angle(1, 4)
         assert Angle(1, 1).mirrored() == Angle(1, 1)
         assert Angle(3, 2).mirrored() == Angle(1, 2)
-
-    def test_radians(self):
-        assert angle_radians(Angle(1, 2)) == 1.5707963267948966
-        assert angle_radians(Angle(1, 1)) == math.pi
-        assert angle_radians(Angle(3, 4)) == 2.356194490192345
 
 
 class TestTrig:
@@ -145,10 +140,12 @@ class TestNorm:
         assert norm(Vec2(0.0, 0.0), NormKind.LINF) == 0.0
 
     def test_vec2_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             Vec2(float("nan"), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteError):
             Vec2(0.0, float("inf"))
+        # the CLI maps ValueError from --x1 to a usage error
+        assert issubclass(NonFiniteError, ValueError)
 
 
 class TestGamma:
@@ -298,6 +295,7 @@ class TestApplyAveraged:
         assert norm(out, NormKind.LINF) <= norm(x, NormKind.LINF) + 1e-12
 
     @given(angles, alphas, vectors)
+    @example(Angle(1, 1), 0.4948021730295811, Vec2(0.0, 1.0))  # mu cancelled near theta = pi
     def test_l2_squared_norm_recursion_is_exact(self, a, alpha, x):
         out = apply_averaged(RotationOp(a), NormKind.L2, alpha, x)
         lhs = out.x1 * out.x1 + out.x2 * out.x2

@@ -12,7 +12,6 @@ from kmrot import (
     NoiseParams,
     NormKind,
     Vec2,
-    draw_noise,
     mu,
     replica_rng,
     run_stochastic_km,
@@ -57,35 +56,8 @@ class TestValidation:
 
 
 class TestDrawNoise:
-    def test_zero_mean(self):
-        noise = NoiseParams(2.0, 0.5)
-        x = Vec2(1.0, 3.0)
-        rng = replica_rng(123, 0)
-        n = 100_000
-        s1 = s2 = 0.0
-        for _ in range(n):
-            w = draw_noise(noise, x, rng)
-            s1 += w.x1
-            s2 += w.x2
-        sigma = math.sqrt((noise.a + noise.b * 10.0) / 2)
-        margin = 4 * sigma / math.sqrt(n)
-        assert abs(s1 / n) < margin
-        assert abs(s2 / n) < margin
-
-    def test_second_moment_tracks_affine_budget(self):
-        noise = NoiseParams(0.1, 0.5)
-        x = Vec2(1.0, 3.0)
-        expected = noise.a + noise.b * 10.0
-        rng = replica_rng(9, 0)
-        n = 300_000
-        total = 0.0
-        for _ in range(n):
-            w = draw_noise(noise, x, rng)
-            total += w.x1 * w.x1 + w.x2 * w.x2
-        assert total / n == pytest.approx(expected, rel=0.01)
-
     def test_second_moment_bulk(self):
-        # million-draw check through the same per-component scaling
+        # million-draw check of the harness's per-component scaling
         noise = NoiseParams(2.0, 0.0)
         x = Vec2(0.0, 0.0)
         sigma = math.sqrt(noise.a / 2)
