@@ -6,6 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import NonFiniteError
 from .rotation import Angle, NormKind, RotationOp, Vec2, apply_averaged, norm
 
 
@@ -95,12 +96,16 @@ def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2, step
     keeps norms non-increasing for every angle up to rounding (one step can
     end 1 ulp above the last norm); the Euclidean variant contracts the
     squared norm by an exact per-step factor when the schedule is constant.
+    Raises NonFiniteError when the initial norm overflows; later norms do
+    not rise above it beyond rounding, so one check suffices.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1: got {steps}")
     op = RotationOp(theta)
     points = [x1]
     norms = [norm(x1, norm_kind)]
+    if not math.isfinite(norms[0]):
+        raise NonFiniteError(f"initial norm must be finite: got {norms[0]}")
     x = x1
     for k in range(1, steps):
         x = apply_averaged(op, norm_kind, step_size(schedule, k), x)

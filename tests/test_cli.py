@@ -269,8 +269,13 @@ class TestNonFiniteState:
             "simulate --theta 1/6 --norm linf --x1 1e155,1e155 --steps 3",
             "simulate --theta 1/6 --norm l2 --x1 1.5e308,-1.5e308 --steps 3",
             "bound --theta 1/6 --norm l2 --x1 1.5e308,1.5e308 --steps 3",
+            "simulate --theta 1/1 --schedule invk --x1 1.5e308,1.5e308 --steps 2",
+            "mc --theta 1/6 --x1 1e153,1e153 --replicas 100 --steps 2",
+            "mc --theta 1/6 --norm linf --x1 1e200,1e200 --replicas 10 --steps 2",
+            "mc --theta 1/6 --x1 1e200,1e200 --replicas 10 --steps 2",
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_exits_3_with_one_line(self, argv, capsys):
         code, out, err = run_cli(argv.split(), capsys)
         assert code == 3
@@ -328,7 +333,7 @@ class TestCsvBytes:
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,9,0,,\n"
             "2,8.4991511820667913,0.30329063015466168,,\n"
-            "3,6.8026861508216623,0.53252120384805368,,\n"
+            "3,6.8026861508216623,0.53252120384805357,,\n"
         ),
         "mc --theta 1/6 --x1=-0,-0 --replicas 4 --steps 2": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"

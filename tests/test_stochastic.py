@@ -1,15 +1,22 @@
 """Noise model and the Monte Carlo harness: moments, determinism, bounds."""
 
 import math
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
     McConfig,
     NoiseParams,
+    NonFiniteError,
     NormKind,
     Vec2,
     mu,
@@ -153,3 +160,137 @@ class TestRunStochastic:
         res = run_stochastic_km(make_config(replicas=25, steps=5))
         assert res.mean_sq_norm[0] == 10.0
         assert res.std_err[0] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_noiseless_run_has_zero_std_err(self):
+        # all replicas share one path; at 1e100 the old dev * dev overflowed
+        for kind in NormKind:
+            for x1 in (Vec2(1.0, 3.0), Vec2(1e100, -3e99)):
+                cfg = make_config(theta=Angle(1, 7), x1=x1, noise=NoiseParams(0.0, 0.0),
+                                  replicas=100, steps=50, norm_kind=kind)
+                res = run_stochastic_km(cfg)
+                assert all(se == 0.0 for se in res.std_err)
+
+    def test_fold_and_block_sizes_do_not_change_result(self, monkeypatch):
+        cfg = make_config(replicas=100, norm_kind=NormKind.LINF)
+        baseline = run_stochastic_km(cfg)
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_FOLD_SAMPLES", 20)
+        monkeypatch.setattr(stochastic, "_BLOCK", 5)
+        folded = run_stochastic_km(cfg)
+        assert folded.mean_sq_norm == baseline.mean_sq_norm
+        assert folded.std_err == baseline.std_err
+
+    def test_non_finite_replicas_raise(self):
+        cfg = make_config(x1=Vec2(1e200, 1e200), norm_kind=NormKind.LINF, replicas=10, steps=2)
+        with pytest.raises(NonFiniteError, match="k = 1: 10 of 10 replicas"):
+            run_stochastic_km(cfg)
+
+    def test_overflowing_sum_raises(self):
+        cfg = make_config(x1=Vec2(1e153, 1e153), replicas=100, steps=2)
+        with pytest.raises(NonFiniteError, match="k = 1 does not round to a finite double"):
+            run_stochastic_km(cfg)
+
+    def test_memory_does_not_grow_with_replicas(self):
+        # the whole replicas x steps matrix would take 25 MiB
+        replicas, steps = 16384, 200
+        cfg = make_config(replicas=replicas, steps=steps, noise=NoiseParams(2.0, 0.1))
+        tracemalloc.start()
+        try:
+            run_stochastic_km(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < replicas * steps * 8 / 2
+
+    def test_memory_of_a_decaying_run_stays_small(self):
+        # the squared norm halves each step and reaches 0 near step 1080; one
+        # exponent window shared by all steps would span ~1100 bins per step
+        cfg = make_config(theta=Angle(1, 2), noise=NoiseParams(0.0, 0.0), replicas=10, steps=2000)
+        tracemalloc.start()
+        try:
+            run_stochastic_km(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def exact_sums(samples, splits=()):
+    """ExactSums of a (series, n) array, added in column blocks cut at `splits`."""
+    sums = stochastic.ExactSums(samples.shape[0])
+    cuts = [0, *sorted(splits), samples.shape[1]]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sums.add(samples[:, lo:hi])
+    return sums
+
+
+def fsum_or_none(values):
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        return None
+    return total if math.isfinite(total) else None
+
+
+any_double = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestExactSums:
+    @given(hnp.arrays(np.float64, st.integers(1, 3000), elements=any_double))
+    def test_total_is_fsum(self, x):
+        expected = fsum_or_none(x.tolist())
+        assume(expected is not None)
+        total = exact_sums(x[None, :]).totals()[0]
+        assert total == expected
+
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 300)), elements=any_double),
+        st.randoms(use_true_random=False),
+        st.lists(st.integers(0, 300), max_size=6),
+    )
+    def test_order_and_blocks_do_not_matter(self, x, rnd, splits):
+        def outcome(sums):
+            try:
+                return sums.totals(), sums.moments()
+            except NonFiniteError as exc:
+                return str(exc)
+
+        order = list(range(x.shape[1]))
+        rnd.shuffle(order)
+        assert outcome(exact_sums(x[:, order], splits)) == outcome(exact_sums(x))
+
+    @given(hnp.arrays(np.float64, st.integers(2, 300),
+                      elements=st.floats(0.0, 1e150) | st.floats(0.0, 1e-150)))
+    def test_std_err_is_the_exact_variance_rounded_once(self, x):
+        n = len(x)
+        s1 = sum(map(Fraction, x.tolist()))
+        s2 = sum(Fraction(v) ** 2 for v in x.tolist())
+        exact_var = (n * s2 - s1 * s1) / (n * (n - 1))
+        var = float(exact_var)
+        assume(exact_var == 0 or var >= sys.float_info.min)
+        mean, serr = exact_sums(x[None, :]).moments()
+        assert mean[0] == math.fsum(x.tolist()) / n
+        assert serr[0] == math.sqrt(var) / math.sqrt(n)
+
+    @given(hnp.arrays(np.float64, st.integers(2, 300), elements=st.floats(1.0, 2.0**20)),
+           st.integers(-1000, 900))
+    def test_power_of_two_scaling_is_exact(self, x, e):
+        # at e = -1000 or 900 the variance itself is far outside the double range
+        mean, serr = exact_sums(x[None, :]).moments()
+        assume(serr[0] == 0.0 or abs(math.ldexp(serr[0], e)) >= sys.float_info.min)
+        scaled_mean, scaled_serr = exact_sums(np.ldexp(x, e)[None, :]).moments()
+        assert scaled_mean[0] == math.ldexp(mean[0], e)
+        assert scaled_serr[0] == math.ldexp(serr[0], e)
+
+    def test_a_block_of_zeros_after_samples_adds_nothing(self):
+        # series 0 gets only a zero in the second block while series 1 does not
+        x = np.array([[62.0, 0.0], [0.0, 12.0]])
+        sums = exact_sums(x, [1])
+        assert sums.totals() == (62.0, 12.0)
+        assert sums.moments() == exact_sums(x).moments()
+
+    def test_add_rejects_more_samples_than_the_bins_hold(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_ADD_SAMPLES", 4)
+        with pytest.raises(ValueError):
+            stochastic.ExactSums(1).add(np.ones((1, 5)))
