@@ -43,6 +43,8 @@ _CHUNK = 4096
 # sweep at 2e6 + 1 starts.
 MIN_GRID_STEP = 1e-6
 MAX_GRID_STEP = 1e-3
+# The most averaged steps (period x starts) one search may take.
+MAX_SEARCH_STEPS = 2**31
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,8 @@ def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
     The coarse sweep uses round(2 / grid_step) + 1 evenly spaced starts on
     [-1, 1]; a second pass at grid_step / 10 around the coarse argmax
     stabilizes the fourth decimal.  Requires theta in (0, pi/2] in lowest
-    terms and grid_step in [MIN_GRID_STEP, MAX_GRID_STEP].
+    terms, grid_step in [MIN_GRID_STEP, MAX_GRID_STEP], and at most
+    MAX_SEARCH_STEPS averaged steps over both passes.
     """
     if theta.fraction > Fraction(1, 2):
         raise OutOfRangeError(f"contraction search needs theta in (0, pi/2]: got {theta}")
@@ -100,10 +103,14 @@ def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
         raise ValueError(f"grid_step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]: got {grid_step}")
 
     period = pseudo_period(theta)
+    n = round(2.0 / grid_step)
+    work = period * (n + 1 + 2 * _REFINE_FACTOR + 1)
+    if work > MAX_SEARCH_STEPS:
+        raise OutOfRangeError(f"contraction search at theta = {theta} with grid_step {grid_step:g} needs "
+                              f"{work} averaged steps, above the limit of {MAX_SEARCH_STEPS}")
     op = RotationOp(theta)
     c, s = op.cos_theta, op.sin_theta
 
-    n = round(2.0 / grid_step)
     best, best_t = -1.0, 0.0
     for lo in range(0, n + 1, _CHUNK):
         ts = -1.0 + (2.0 * np.arange(lo, min(lo + _CHUNK, n + 1))) / n

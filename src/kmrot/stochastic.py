@@ -9,12 +9,14 @@ max-norm variant is simulation only and carries no bound.
 
 Reproducibility: replica r draws all of its Gaussians from a generator
 seeded by (seed, r), so per-replica paths never depend on how replicas are
-chunked.  Each chunk's squared norms are added to exact integer sums of x
-and x^2 per step (ExactSums) and dropped, so the result does not depend on
-the order in which chunks arrive, and memory does not grow with the replica
-count.  Each mean is the exact sum rounded once and divided by the replica
-count, which is math.fsum's value; each standard error is the square root of
-the exact sample variance rounded once.
+chunked.  Each chunk's squared norms are binned and folded at once into
+exact Python-int sums of x and x^2 per step (ExactSums) and dropped; no
+bins, exponent window or fold threshold outlive the chunk.  So the result
+does not depend on the order in which chunks arrive, and memory does not
+grow with the replica count.  Each mean is the exact sum rounded once and
+divided by the replica count, which is math.fsum's value, or the exact mean
+rounded once where only that rounded sum overflows; each standard error is
+the square root of the exact sample variance rounded once.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
 
 _CHUNK = 2048
 _ADD_SAMPLES = 2**16
-_FOLD_SAMPLES = 2**26
 _BLOCK = 2**14  # samples per frexp/bincount pass; bounds the temporaries
 _SPAN = 36  # the largest piece shift, in exponent steps
-_EMPTY = 2**30  # beyond any frexp exponent
+_LIMB = 5  # bins per int64 limb of the fold
 _UNIT = 1073 + 53  # frexp exponents are >= -1073, so 2^-_UNIT divides every x
 
 
@@ -103,31 +104,26 @@ class ExactSums:
     |M| < 2^53, split as M = a*2^36 + b*2^18 + c with |a| <= 2^17 and b, c in
     [0, 2^18).  The sum of x bins the pieces a*2^18 + b and c; the sum of x^2
     bins the five products of M^2 = a^2*2^72 + 2ab*2^54 + (2ac + b^2)*2^36
-    + 2bc*2^18 + c^2, each below 2^37 in size.  Bins are integers per
-    (series, exponent), filled by np.bincount; each series has its own
-    exponent window, so series of different scales, such as the steps of a
-    decaying run, do not widen each other's.  This is a small
-    superaccumulator (Neal 2015, arXiv:1505.05571); the split of x^2 is
-    error-free, like Dekker's (1971), and exact for subnormals too.  Integer
-    bins make the sums independent of the order of samples and of blocks,
-    and each result is rounded once from them.
+    + 2bc*2^18 + c^2, each below 2^37 in size.  Each `add` bins its samples
+    per (series, exponent) with np.bincount, from each series' smallest
+    exponent in that call, and folds the bins at once into exact Python-int
+    totals, _LIMB adjacent bins to one int64 limb; no bins, exponent window
+    or fold threshold outlive the call.  This is a small superaccumulator
+    (Neal 2015, arXiv:1505.05571); the split of x^2 is error-free, like
+    Dekker's (1971), and exact for subnormals too.  Integer totals make the
+    sums independent of the order of samples and of blocks, and each result
+    is rounded once from them.
 
-    Exactness limits, both enforced: a bin gains less than 2^37 per sample,
-    so one `add` takes at most _ADD_SAMPLES = 2^16 samples per series (its
-    float64 bincount sums stay below 2^53), and the int64 bins are folded
-    into Python ints before they hold more than _FOLD_SAMPLES = 2^26 samples
-    (their sums stay below 2^63).  Non-finite samples are counted per
-    series instead of summed.
+    Exactness limits: a bin gains less than 2^37 per sample, so one `add`
+    takes at most _ADD_SAMPLES = 2^16 samples per series (enforced), which
+    keeps its float64 bincount sums below 2^53; a limb then sums bins
+    weighted 1, 4, ..., 4^(_LIMB-1), which stays below 2^53 * 341 < 2^62.
+    Non-finite samples are counted per series instead of summed.
     """
 
     def __init__(self, series: int) -> None:
         self.n = 0
-        self._binned = 0
-        # bins[:, k, i] count exponent lo[k] + i; lo[k] .. hi[k] is the
-        # range series k has used since the last fold (empty: lo > hi)
-        self._lo = np.full(series, _EMPTY, np.int64)
-        self._hi = np.full(series, -_EMPTY, np.int64)
-        self._bins = np.zeros((2, series, 0), np.int64)
+        # units of 2^-_UNIT for x and 4^-_UNIT for x^2
         self._sx = [0] * series
         self._sxx = [0] * series
         self._bad = np.zeros(series, np.int64)
@@ -139,38 +135,26 @@ class ExactSums:
             return
         if count > _ADD_SAMPLES:
             raise ValueError(f"at most {_ADD_SAMPLES} samples per add: got {count}")
-        if self._binned + count > _FOLD_SAMPLES:
-            self._fold()
         self.n += count
-        self._binned += count
         finite = np.isfinite(block)
         if not finite.all():
             self._bad += count - finite.sum(axis=1)
             block = np.where(finite, block, 0.0)
         rows = max(1, _BLOCK // count)
         for k in range(0, len(block), rows):
-            self._add_rows(slice(k, k + rows), block[k:k + rows])
+            self._add_rows(k, block[k:k + rows])
 
-    def _add_rows(self, rows: slice, block: np.ndarray) -> None:
+    def _add_rows(self, first: int, block: np.ndarray) -> None:
         f, e = np.frexp(block)
-        nonzero = f != 0.0
-        if nonzero.all():
-            lo, hi = e.min(axis=1), e.max(axis=1)
-        elif not nonzero.any():
-            return
-        else:
-            lo = np.where(nonzero, e, _EMPTY).min(axis=1)
-            hi = np.where(nonzero, e, -_EMPTY).max(axis=1)
-        self._cover(rows, lo, hi + _SPAN)
-        width = self._bins.shape[2]
+        # zeros add nothing; they take the exponent of their row's largest
+        # sample, so they do not widen the row
+        e = np.where(f != 0.0, e, np.frexp(np.abs(block).max(axis=1))[1][:, None])
+        lo = e.min(axis=1)
+        # bin e - lo of row r, in rows of whole limbs; a piece shifted by s
+        # lands s bins higher
+        width = -(-(int((e.max(axis=1) - lo).max()) + 1 + _SPAN) // _LIMB) * _LIMB
         size = len(block) * width
-        # bin e - lo of row r; a piece shifted by s lands s bins higher
-        offset = e - self._lo[rows, None]
-        if not nonzero.all():
-            # zeros add nothing, so they take bin 0 of their row, even in a
-            # row with no other sample in this block
-            offset = np.where(nonzero, offset, 0)
-        index = (offset + np.arange(0, size, width)[:, None]).ravel()
+        index = (e - lo[:, None] + np.arange(0, size, width)[:, None]).ravel()
         m = f * 2.0**53
         a = np.floor(m * 2.0**-36)
         m -= a * 2.0**36
@@ -178,44 +162,24 @@ class ExactSums:
         c = m - b * 2.0**18
         sums = (((18, a * 2.0**18 + b), (0, c)),
                 ((36, a * a), (27, 2.0 * a * b), (18, 2.0 * a * c + b * b), (9, 2.0 * b * c), (0, c * c)))
-        for bins, pieces in zip(self._bins, sums):
+        # bin i of row r holds multiples of 2^(j-53) for x and 4^(j-53) for
+        # x^2, j = lo[r] + i
+        offsets = (lo + _UNIT - 53).tolist()
+        for bits, totals, pieces in zip((1, 2), (self._sx, self._sxx), sums):
             total = np.zeros(size)
             for shift, piece in pieces:
                 total[shift:] += np.bincount(index, piece.ravel(), size)[:size - shift]
-            bins[rows] += total.reshape(-1, width).astype(np.int64)
+            weights = 1 << bits * np.arange(_LIMB)
+            limbs = total.reshape(len(block), -1, _LIMB).astype(np.int64) @ weights
+            for k, (o, row) in enumerate(zip(offsets, limbs.tolist()), first):
+                totals[k] += sum(v << bits * (o + _LIMB * i) for i, v in enumerate(row) if v)
 
-    def _cover(self, rows: slice, lo: np.ndarray, hi: np.ndarray) -> None:
-        # widen the exponent range of each series in `rows` to lo..hi,
-        # moving a series' bins up where its lowest exponent drops
-        old_lo, old_hi = self._lo[rows].copy(), self._hi[rows].copy()
-        self._lo[rows] = np.minimum(old_lo, lo)
-        self._hi[rows] = np.maximum(old_hi, hi)
-        shift = np.where(old_lo <= old_hi, old_lo - self._lo[rows], 0)
-        width = self._bins.shape[2]
-        new_width = max(width, int((self._hi[rows] - self._lo[rows]).max()) + 1)
-        if new_width == width and not shift.any():
-            return
-        bins = np.zeros(self._bins.shape[:2] + (new_width,), np.int64)
-        bins[:, :, :width] = self._bins
-        for i in np.flatnonzero(shift):
-            r, s, used = rows.start + i, shift[i], old_hi[i] - old_lo[i] + 1
-            bins[:, r] = 0
-            bins[:, r, s:s + used] = self._bins[:, r, :used]
-        self._bins = bins
-
-    def _fold(self) -> None:
-        # bin i of series k holds multiples of 2^(j-53) for x and 4^(j-53)
-        # for x^2, j = lo[k] + i; the Python-int totals count units of
-        # 2^-_UNIT and 4^-_UNIT
-        lists = zip(self._lo.tolist(), *(bins.tolist() for bins in self._bins))
-        for k, (lo, xs, xxs) in enumerate(lists):
-            shift = lo - 53 + _UNIT
-            self._sx[k] += sum(v << (shift + i) for i, v in enumerate(xs) if v)
-            self._sxx[k] += sum(v << 2 * (shift + i) for i, v in enumerate(xxs) if v)
-        self._bins[:] = 0
-        self._lo[:] = _EMPTY
-        self._hi[:] = -_EMPTY
-        self._binned = 0
+    def _check_finite(self) -> None:
+        bad = np.flatnonzero(self._bad)
+        if bad.size:
+            k = int(bad[0])
+            raise NonFiniteError(f"squared norm not finite at k = {k + 1}: "
+                                 f"{self._bad[k]} of {self.n} replicas")
 
     def totals(self) -> tuple[float, ...]:
         """Each series' sum, rounded once from the exact sum: math.fsum's value.
@@ -224,12 +188,7 @@ class ExactSums:
         the first such series k (counted from 1) and the count, or when a sum
         does not round to a finite double.
         """
-        bad = np.flatnonzero(self._bad)
-        if bad.size:
-            k = int(bad[0])
-            raise NonFiniteError(f"squared norm not finite at k = {k + 1}: "
-                                 f"{self._bad[k]} of {self.n} replicas")
-        self._fold()
+        self._check_finite()
         out = []
         for k, sx in enumerate(self._sx):
             try:
@@ -242,14 +201,18 @@ class ExactSums:
     def moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-series mean and standard error of the mean.
 
-        mean = totals() / n, which is math.fsum(x) / n.  std_err =
-        sqrt(var) / sqrt(n), where the sample variance
+        mean = the exact sum rounded once, divided by n, which is
+        math.fsum(x) / n; where only that rounded sum overflows, the exact
+        mean, no larger in size than the largest sample, is rounded once
+        instead.  std_err = sqrt(var) / sqrt(n), where the sample variance
         (n * sum x^2 - (sum x)^2) / (n (n - 1)) is an exact ratio of integers
         rounded once; it is exactly 0 when all samples are equal, and 0 for
-        n = 1.  Raises NonFiniteError as totals() does.
+        n = 1.  Raises NonFiniteError when a series holds a non-finite
+        sample.
         """
+        self._check_finite()
         n = self.n
-        mean = tuple(total / n for total in self.totals())
+        mean = tuple(_mean(sx, n) for sx in self._sx)
         if n == 1:
             return mean, (0.0,) * len(mean)
         den = n * (n - 1) << 2 * _UNIT
@@ -257,6 +220,14 @@ class ExactSums:
         serr = tuple(_sqrt_ratio(n * sxx - sx * sx, den) / root_n
                      for sx, sxx in zip(self._sx, self._sxx))
         return mean, serr
+
+
+def _mean(sx: int, n: int) -> float:
+    # sx counts units of 2^-_UNIT
+    try:
+        return sx / (1 << _UNIT) / n
+    except OverflowError:
+        return sx / (n << _UNIT)
 
 
 def _sqrt_ratio(p: int, q: int) -> float:
@@ -315,8 +286,7 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     identical results for any chunk size: replicas own their noise streams
     and the sums are exact.  The Euclidean bound's initial-distance check
     runs before the simulation.  A replica whose squared norm overflows or
-    turns nan, or a step whose sum does not round to a finite double,
-    raises NonFiniteError.
+    turns nan raises NonFiniteError.
     """
     bound: BoundCurve | None = None
     unstable = False

@@ -108,6 +108,14 @@ class TestSearch:
             with pytest.raises(ValueError):
                 search_beta_u(Angle(1, 4), grid_step=tiny)
 
+    def test_work_budget_counts_both_passes(self, monkeypatch):
+        # period 12 times 2001 coarse and 21 fine starts
+        monkeypatch.setattr(beta_search, "MAX_SEARCH_STEPS", 12 * 2022)
+        search_beta_u(Angle(1, 12), grid_step=1e-3)
+        monkeypatch.setattr(beta_search, "MAX_SEARCH_STEPS", 12 * 2022 - 1)
+        with pytest.raises(OutOfRangeError, match="24264 averaged steps"):
+            search_beta_u(Angle(1, 12), grid_step=1e-3)
+
     @pytest.mark.parametrize("q", [2, 3, 4, 7, 12])
     def test_matches_scalar_oracle(self, q):
         res = search_beta_u(Angle(1, q), grid_step=1e-3)

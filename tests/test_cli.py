@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import kmrot.beta_search as beta_search
 import kmrot.cli as cli
 import kmrot.stochastic as stochastic
 from kmrot import (
@@ -170,6 +171,17 @@ class TestSearchBeta:
         assert float(rows[0][2]) == res.beta_u
         assert float(rows[0][3]) == res.argmax_start.x1
 
+    def test_work_above_the_budget_exits_3_before_stepping(self, capsys, monkeypatch):
+        # period 10^6 times 20 022 starts is 2e10 averaged steps
+        def no_stepping(*args):
+            raise AssertionError("km_step ran")
+
+        monkeypatch.setattr(beta_search, "km_step", no_stepping)
+        code, out, err = run_cli(["search-beta", "--theta", "1/1000000"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "20022000000" in err
+
     def test_out_of_range_angle_exits_3(self, capsys):
         code, _, err = run_cli(["search-beta", "--theta", "2/3"], capsys)
         assert code == 3
@@ -223,6 +235,16 @@ class TestMc:
         _, rows = parse_csv(out)
         assert all(r[3] == "" and r[4] == "" for r in rows)
 
+    @pytest.mark.filterwarnings("error")
+    def test_mean_prints_where_only_the_rounded_sum_overflows(self, capsys):
+        # each squared norm is about 2e306; their sum is not a finite double
+        code, out, err = run_cli(
+            "mc --theta 1/6 --x1 1e153,1e153 --replicas 100 --steps 2".split(), capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[0][:3] == ["1", "%.17g" % (2 * 1e153 * 1e153), "0"]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:3])
+
     def test_same_seed_same_bytes(self, capsys, tmp_path, monkeypatch):
         argv = ["mc", "--theta", "1/4", "--x1", "1,3", "--A", "2", "--B", "0",
                 "--replicas", "300", "--steps", "30", "--seed", "77"]
@@ -270,7 +292,6 @@ class TestNonFiniteState:
             "simulate --theta 1/6 --norm l2 --x1 1.5e308,-1.5e308 --steps 3",
             "bound --theta 1/6 --norm l2 --x1 1.5e308,1.5e308 --steps 3",
             "simulate --theta 1/1 --schedule invk --x1 1.5e308,1.5e308 --steps 2",
-            "mc --theta 1/6 --x1 1e153,1e153 --replicas 100 --steps 2",
             "mc --theta 1/6 --norm linf --x1 1e200,1e200 --replicas 10 --steps 2",
             "mc --theta 1/6 --x1 1e200,1e200 --replicas 10 --steps 2",
         ],

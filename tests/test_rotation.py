@@ -120,12 +120,23 @@ class TestRotate:
         assert norm(out, NormKind.L2) == pytest.approx(norm(x, NormKind.L2), rel=1e-12, abs=1e-12)
 
     @given(angles, vectors, vectors)
+    @example(Angle(1, 4), Vec2(281700.0, 0.0), Vec2(281701.0, 0.0))
     def test_l2_nonexpansive(self, a, x, y):
+        # Forward error, u = 2^-53 (Higham 2002, ch. 3).  The cached c and s
+        # are within 6u of cos and sin: under 3.4u from rounding pi * t to
+        # an argument in [0, pi/4], and 2u for a libm result within one ulp
+        # (assumed).  So the computed matrix has norm <= 1 + 6u.  Each
+        # component of fl(Rx) is a length-2 inner product, off by at most
+        # gamma_2 (|c x1| + |s x2|), so ||fl(Rx) - Rx|| <= 2.9u ||x||.  The
+        # differences and hypot add 3u relative on each side.  Together
+        # lhs <= rhs + 15u (||x|| + ||y||); c = 16 also covers the rounding
+        # of the right-hand side below.
         op = RotationOp(a)
         rx, ry = rotate(op, x), rotate(op, y)
         lhs = math.hypot(rx.x1 - ry.x1, rx.x2 - ry.x2)
         rhs = math.hypot(x.x1 - y.x1, x.x2 - y.x2)
-        assert lhs <= rhs + 1e-12 + 1e-12 * rhs
+        u = 2.0**-53
+        assert lhs <= rhs + 16 * u * (norm(x, NormKind.L2) + norm(y, NormKind.L2))
 
 
 class TestNorm:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from collections import Counter
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from kmrot import (
     NoiseParams,
     NonFiniteError,
     NormKind,
+    RotationOp,
     Vec2,
     mu,
     replica_rng,
@@ -175,7 +177,6 @@ class TestRunStochastic:
         cfg = make_config(replicas=100, norm_kind=NormKind.LINF)
         baseline = run_stochastic_km(cfg)
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
-        monkeypatch.setattr(stochastic, "_FOLD_SAMPLES", 20)
         monkeypatch.setattr(stochastic, "_BLOCK", 5)
         folded = run_stochastic_km(cfg)
         assert folded.mean_sq_norm == baseline.mean_sq_norm
@@ -187,9 +188,21 @@ class TestRunStochastic:
             run_stochastic_km(cfg)
 
     def test_overflowing_sum_raises(self):
-        cfg = make_config(x1=Vec2(1e153, 1e153), replicas=100, steps=2)
+        sums = stochastic.ExactSums(1)
+        sums.add(np.full((1, 100), 2e306))
         with pytest.raises(NonFiniteError, match="k = 1 does not round to a finite double"):
-            run_stochastic_km(cfg)
+            sums.totals()
+
+    def test_mean_is_exact_where_only_the_rounded_sum_overflows(self):
+        # each squared norm is about 2e306, so their sum is not a finite double
+        cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e153, 1e153), replicas=100, steps=2)
+        res = run_stochastic_km(cfg)
+        sq = stochastic._simulate_chunk(cfg, RotationOp(cfg.theta), 0, cfg.replicas)
+        with pytest.raises(OverflowError):
+            math.fsum(sq[0].tolist())
+        for k in range(cfg.steps):
+            assert res.mean_sq_norm[k] == float(sum(map(Fraction, sq[k].tolist())) / cfg.replicas)
+        assert res.std_err[0] == 0.0
 
     def test_memory_does_not_grow_with_replicas(self):
         # the whole replicas x steps matrix would take 25 MiB
@@ -289,6 +302,46 @@ class TestExactSums:
         sums = exact_sums(x, [1])
         assert sums.totals() == (62.0, 12.0)
         assert sums.moments() == exact_sums(x).moments()
+
+    def test_one_full_add_is_exact(self):
+        # every sample has the largest mantissa of its binade, so a bin that
+        # takes a whole row gets (2^16 - 1) pieces of nearly 2^37: almost its
+        # 2^53.  Row r of a group keeps one sample at its lowest exponent and
+        # the rest r binades higher, so those bins fall at every position of
+        # a limb; the last row of a group spreads over all seven binades.
+        n = stochastic._ADD_SAMPLES
+        normal = [math.ldexp(2.0 - 2.0**-52, e) for e in range(7)]
+        subnormal = [math.ldexp(2.0**(46 + j) - 1.0, -1074) for j in range(7)]
+        huge = [math.ldexp(v, 900) for v in normal]
+        rows = []
+        for binades in (normal, subnormal, huge):
+            rows += [[binades[0]] + [binades[r]] * (n - 1) for r in range(7)]
+            rows.append([binades[i % 7] for i in range(n)])
+        rows += [[-v for v in row] for row in rows]
+        sums = stochastic.ExactSums(len(rows))
+        sums.add(np.array(rows))
+        totals = sums.totals()
+        unit = 2**stochastic._UNIT
+        for k, row in enumerate(rows):
+            counts = Counter(row).items()
+            s1 = sum(c * Fraction(v) for v, c in counts)
+            s2 = sum(c * Fraction(v) ** 2 for v, c in counts)
+            assert Fraction(sums._sx[k], unit) == s1
+            assert Fraction(sums._sxx[k], unit * unit) == s2
+            assert totals[k] == float(s1)
+
+    def test_zeros_do_not_widen_a_row(self):
+        # a zero's frexp exponent is 0; counted as such, each row here would
+        # span about 1000 bins, and one pass over 8192 rows about 65 MiB
+        x = np.tile([1e-300, 0.0], (8192, 1))
+        tracemalloc.start()
+        try:
+            sums = exact_sums(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert sums.totals() == (1e-300,) * 8192
 
     def test_add_rejects_more_samples_than_the_bins_hold(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_ADD_SAMPLES", 4)
