@@ -10,24 +10,23 @@ from .beta_search import (
     REFERENCE_BETA_U,
     BetaSearchResult,
     PeriodCheckReport,
+    beta_l,
+    pseudo_period,
     search_beta_u,
     verify_period_contraction,
 )
 from .bounds import (
     BoundCurve,
-    beta_l,
     l2_bound,
     linf_bound,
     mu,
     noise_bound,
     optimal_alpha_l2,
-    pseudo_period,
 )
 from .engine import Schedule, ScheduleKind, Trajectory, run_km, step_size
 from .errors import (
     InvalidAlphaError,
     KmrotError,
-    MissingBetaUError,
     NonFiniteError,
     OutOfRangeError,
     UnstableError,
@@ -65,7 +64,6 @@ __all__ = [
     "KmrotError",
     "McConfig",
     "McResult",
-    "MissingBetaUError",
     "NoiseParams",
     "NonFiniteError",
     "NormKind",

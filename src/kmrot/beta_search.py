@@ -22,9 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import beta_l, pseudo_period
 from .errors import OutOfRangeError
-from .rotation import Angle, RotationOp, Vec2, km_step
+from .rotation import Angle, RotationOp, Vec2, km_step, tan_pi
 
 # Four-decimal reference factors for common angles, reproduced by
 # search_beta_u at the default grid_step of 1e-4.
@@ -75,6 +74,28 @@ class PeriodCheckReport:
     @property
     def passed(self) -> bool:
         return self.upper_violations == 0 and self.lower_violations == 0
+
+
+def pseudo_period(theta: Angle) -> int:
+    """ceil(q/p) for theta = (p/q)*pi in (0, pi/2].
+
+    The number of max-norm steps after which the iterate has provably swept
+    past a corner of its square, so the per-period contraction applies.
+    """
+    if theta.fraction > Fraction(1, 2):
+        raise OutOfRangeError(f"pseudo-period is defined for theta in (0, pi/2]: got {theta}")
+    return -(-theta.q // theta.p)
+
+
+def beta_l(theta: Angle) -> float:
+    """Closed-form per-period lower bound (1 + tan(pi/4 - theta/2)) / 2.
+
+    Valid for theta in (0, pi/2]; the iterate cannot contract by more than
+    this factor over one pseudo-period.
+    """
+    if theta.fraction > Fraction(1, 2):
+        raise OutOfRangeError(f"per-period lower bound needs theta in (0, pi/2]: got {theta}")
+    return (1.0 + tan_pi(Fraction(1, 4) - theta.fraction / 2)) / 2.0
 
 
 def _edge_max(c: float, s: float, period: int, ts: np.ndarray) -> tuple[float, float]:

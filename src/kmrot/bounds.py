@@ -4,6 +4,9 @@ Every evaluator returns a BoundCurve aligned index-for-index with a
 Trajectory: values[i] bounds the distance to the fixed point at iterate
 k = i + 1, and values[0] always equals the initial distance (squared, for
 the mean-square noise bound).  Bounds exist only for constant step sizes.
+
+The max-norm bound searches for its per-period factor beta_u with
+kmrot.beta_search unless the caller passes one (the paper's table, say).
 """
 
 from __future__ import annotations
@@ -12,14 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InvalidAlphaError,
-    MissingBetaUError,
-    NonFiniteError,
-    OutOfRangeError,
-    UnstableError,
-    UnsupportedAlphaError,
-)
+from .beta_search import pseudo_period, search_beta_u
+from .errors import InvalidAlphaError, NonFiniteError, UnstableError, UnsupportedAlphaError
 from .rotation import Angle, sin_cos_pi, tan_pi
 
 _HALF = Fraction(1, 2)
@@ -27,21 +24,15 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Upper-bound values per iterate, with the parameters that produced them.
+    """Upper-bound values per iterate.
 
     `initial` is D = dist(x_1, 0), or D^2 when `squared` is set (the noise
-    bound controls the expected squared norm).  `kind` names the formula
-    used, which depends on the norm and the angle range.
+    bound controls the expected squared norm).
     """
 
-    kind: str
-    theta: Angle
-    alpha: float
     initial: float
     values: tuple[float, ...]
     squared: bool = False
-    a_var: float | None = None
-    b_var: float | None = None
 
 
 def _check_alpha(alpha: float) -> None:
@@ -81,8 +72,7 @@ def l2_bound(theta: Angle, alpha: float, d: float, k_max: int) -> BoundCurve:
     _check_k_max(k_max)
     _check_initial(d)
     g = mu(alpha, theta)
-    values = tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1))
-    return BoundCurve("l2", theta, alpha, d, values)
+    return BoundCurve(d, tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1)))
 
 
 def optimal_alpha_l2(theta: Angle) -> tuple[float, float]:
@@ -91,92 +81,43 @@ def optimal_alpha_l2(theta: Angle) -> tuple[float, float]:
     return 0.5, (1.0 + c) / 2.0
 
 
-def pseudo_period(theta: Angle) -> int:
-    """ceil(q/p) for theta = (p/q)*pi in (0, pi/2].
+def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
+               beta_u: float | None = None) -> BoundCurve:
+    """Max-norm bound factor^floor((k-1)/period) * D; the angle range picks both.
 
-    The number of max-norm steps after which the iterate has provably swept
-    past a corner of its square, so the per-period contraction applies.
-    """
-    if theta.fraction > _HALF:
-        raise OutOfRangeError(f"pseudo-period is defined for theta in (0, pi/2]: got {theta}")
-    return -(-theta.q // theta.p)
-
-
-def beta_l(theta: Angle) -> float:
-    """Closed-form per-period lower bound (1 + tan(pi/4 - theta/2)) / 2.
-
-    Valid for theta in (0, pi/2]; the iterate cannot contract by more than
-    this factor over one pseudo-period.
-    """
-    if theta.fraction > _HALF:
-        raise OutOfRangeError(f"per-period lower bound needs theta in (0, pi/2]: got {theta}")
-    return (1.0 + tan_pi(Fraction(1, 4) - theta.fraction / 2)) / 2.0
-
-
-def linf_bound(
-    theta: Angle,
-    alpha: float,
-    d: float,
-    k_max: int,
-    beta_u: float | None = None,
-) -> BoundCurve:
-    """Max-norm bound, dispatched on the angle range.
-
-    theta = pi:            |1 - 2*alpha|^(k-1) * D, any alpha in (0, 1).
-    theta = pi/2:          0.5^floor((k-1)/2) * D, alpha = 0.5 only.
-    theta in (0, pi/2):    beta_u^floor((k-1)/T) * D with T the
-                           pseudo-period; alpha = 0.5 only, and the
-                           per-period factor beta_u must be supplied (see
-                           kmrot.beta_search).
-    theta in (pi/2, pi):   ((1 + tan(3*pi/4 - theta)) / 2)^(k-1) * D,
-                           alpha = 0.5 only.
-    theta in (pi, 2*pi):   evaluated at the mirror angle 2*pi - theta.
+    theta = pi:          |1 - 2*alpha| per step, any alpha in (0, 1).
+    theta = pi/2:        0.5 per two steps.
+    theta in (0, pi/2):  beta_u per pseudo-period T.  When beta_u is not
+                         given, search_beta_u finds it (kmrot.beta_search).
+    theta in (pi/2, pi): (1 + tan(3*pi/4 - theta)) / 2 per step.
+    theta in (pi, 2*pi): evaluated at the mirror angle 2*pi - theta.
+    Every range but theta = pi needs alpha = 0.5, checked before any search.
     """
     _check_alpha(alpha)
     _check_k_max(k_max)
     _check_initial(d)
-    effective = theta if theta.fraction <= 1 else theta.mirrored()
-    f = effective.fraction
+    folded = theta.folded()
+    f = folded.fraction
 
+    if f != 1 and alpha != 0.5:
+        raise UnsupportedAlphaError(f"the max-norm bound for theta = {theta} is only derived "
+                                    f"for alpha = 0.5: got {alpha}")
     if f == 1:
-        base = abs(1.0 - 2.0 * alpha)
-        values = tuple(base ** (k - 1) * d for k in range(1, k_max + 1))
-        return BoundCurve("linf-pi", theta, alpha, d, values)
-
-    if alpha != 0.5:
-        raise UnsupportedAlphaError(
-            f"the max-norm bound for theta = {theta} is only derived for alpha = 0.5: got {alpha}"
-        )
-
-    if f == _HALF:
-        values = tuple(0.5 ** ((k - 1) // 2) * d for k in range(1, k_max + 1))
-        return BoundCurve("linf-half-pi", theta, alpha, d, values)
-
-    if f < _HALF:
+        factor, period = abs(1.0 - 2.0 * alpha), 1
+    elif f == _HALF:
+        factor, period = 0.5, 2
+    elif f < _HALF:
         if beta_u is None:
-            raise MissingBetaUError(
-                f"theta = {theta} needs a per-period contraction factor beta_u; "
-                "run the contraction search or pass a known value"
-            )
+            beta_u = search_beta_u(folded).beta_u
         if not 0.0 < beta_u < 1.0:
             raise ValueError(f"beta_u must lie in (0, 1): got {beta_u}")
-        period = pseudo_period(effective)
-        values = tuple(beta_u ** ((k - 1) // period) * d for k in range(1, k_max + 1))
-        return BoundCurve("linf-period", theta, alpha, d, values)
-
-    factor = (1.0 + tan_pi(Fraction(3, 4) - f)) / 2.0
-    values = tuple(factor ** (k - 1) * d for k in range(1, k_max + 1))
-    return BoundCurve("linf-step", theta, alpha, d, values)
+        factor, period = beta_u, pseudo_period(folded)
+    else:
+        factor, period = (1.0 + tan_pi(Fraction(3, 4) - f)) / 2.0, 1
+    return BoundCurve(d, tuple(factor ** ((k - 1) // period) * d for k in range(1, k_max + 1)))
 
 
-def noise_bound(
-    theta: Angle,
-    alpha: float,
-    d_sq: float,
-    a: float,
-    b: float,
-    k_max: int,
-) -> BoundCurve:
+def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_max: int) -> BoundCurve:
     """Mean-square bound under zero-mean noise with affine second moment.
 
     With rho = mu + alpha^2 * b, values[k] = rho^(k-1) * D^2
@@ -200,4 +141,4 @@ def noise_bound(
     for k in range(1, k_max + 1):
         rk = rho ** (k - 1)
         values.append(rk * d_sq + tail * (1.0 - rk))
-    return BoundCurve("l2-noise", theta, alpha, d_sq, tuple(values), squared=True, a_var=a, b_var=b)
+    return BoundCurve(d_sq, tuple(values), squared=True)

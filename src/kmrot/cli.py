@@ -4,25 +4,28 @@ Angles are accepted only as rational multiples of pi ("p/q"), never as raw
 radians, so special angles and pseudo-periods stay exact.  Every command
 emits a CSV table (UTF-8, comma separated, LF line endings) with reals at
 17 significant digits, which round-trip to the exact double.  Exit codes:
-0 success, 2 usage or config parse error, 3 domain precondition violated.
+0 success, 1 the reader closed stdout before the table was written, 2
+usage or config parse error or unwritable output, 3 domain precondition
+violated.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from contextlib import nullcontext
 from itertools import count
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
 from .bounds import l2_bound, linf_bound
 from .engine import Schedule, ScheduleKind, run_km
-from .errors import KmrotError, MissingBetaUError
+from .errors import KmrotError
 from .rotation import Angle, NormKind, Vec2, norm
 from .stochastic import McConfig, NoiseParams, run_stochastic_km
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
@@ -71,31 +74,15 @@ _grid_step_arg = _number_arg(float, MIN_GRID_STEP, MAX_GRID_STEP,
                              f"grid step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]")
 
 
-def _bound_values(args: argparse.Namespace, d: float, steps: int) -> tuple[float, ...] | None:
-    """Bound curve for a constant-step configuration, None when no formula covers it.
+def _bound_values(args: argparse.Namespace, d: float, steps: int) -> tuple[float, ...]:
+    """Bound curve for a constant-step configuration.
 
-    linf_bound decides whether the angle needs a per-period factor; only
-    then is one taken, at the folded angle, from the built-in table or a
-    fresh search.
+    Under --beta-table builtin the paper's beta_u is passed where the table
+    has the folded angle; otherwise linf_bound searches for it.
     """
-    if args.schedule != ScheduleKind.CONSTANT.value:
-        return None
     if args.norm == NormKind.L2.value:
         return l2_bound(args.theta, args.alpha, d, steps).values
-    try:
-        return linf_bound(args.theta, args.alpha, d, steps).values
-    except MissingBetaUError:
-        pass
-    effective = args.theta if args.theta.fraction <= 1 else args.theta.mirrored()
-    if args.beta_table == "search":
-        beta_u = search_beta_u(effective).beta_u
-    else:
-        beta_u = REFERENCE_BETA_U.get(effective)
-        if beta_u is None:
-            raise MissingBetaUError(
-                f"no built-in contraction factor for theta = {effective}; "
-                "run 'search-beta' or pass '--beta-table search'"
-            )
+    beta_u = None if args.beta_table == "search" else REFERENCE_BETA_U.get(args.theta.folded())
     return linf_bound(args.theta, args.alpha, d, steps, beta_u).values
 
 
@@ -108,20 +95,18 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[str, list[str]]:
     kind = ScheduleKind(args.schedule)
     schedule = Schedule(kind, args.alpha if kind is ScheduleKind.CONSTANT else None)
     traj = run_km(args.theta, NormKind(args.norm), schedule, args.x1, args.steps)
-    bound = _bound_values(args, traj.norms[0], args.steps)
     x1s = [p.x1 for p in traj.points]
     x2s = [p.x2 for p in traj.points]
     header = "k,x1,x2,norm_value,bound_value\n"
-    if bound is None:
+    if kind is not ScheduleKind.CONSTANT:
         return header, _rows("%d,%.17g,%.17g,%.17g,\n", x1s, x2s, traj.norms)
+    bound = _bound_values(args, traj.norms[0], args.steps)
     return header, _rows("%d,%.17g,%.17g,%.17g,%.17g\n", x1s, x2s, traj.norms, bound)
 
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[str, list[str]]:
-    values = _bound_values(args, norm(args.x1, NormKind(args.norm)), args.steps)
-    if values is None:
-        raise KmrotError(f"bounds exist only for the const schedule: got {args.schedule}")
-    return "k,bound_value\n", _rows("%d,%.17g\n", values)
+    d = norm(args.x1, NormKind(args.norm))
+    return "k,bound_value\n", _rows("%d,%.17g\n", _bound_values(args, d, args.steps))
 
 
 def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, list[str]]:
@@ -161,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_schedule: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--theta", type=_angle_arg, required=True, metavar="P/Q",
                        help="rotation angle as a rational multiple of pi")
         p.add_argument("--alpha", type=_alpha_arg, default=0.5, help="step size in (0, 1)")
@@ -170,21 +155,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--x1", type=_vec2_arg, default=Vec2(10.0, 30.0), metavar="A,B",
                        help="initial iterate")
         p.add_argument("--steps", type=_count_arg, default=100)
-        if with_schedule:
-            p.add_argument("--schedule", choices=sorted(kind.value for kind in ScheduleKind),
-                           default=ScheduleKind.CONSTANT.value)
         p.add_argument("--out", default=None, metavar="PATH", help="output CSV path (default stdout)")
 
     sim = sub.add_parser("simulate", help="run an iteration and emit iterates, norms, and bound values")
     add_common(sim)
-    sim.add_argument("--beta-table", choices=["builtin", "search"], default="builtin",
-                     help="source of the per-period contraction factor for small angles")
+    sim.add_argument("--schedule", choices=sorted(kind.value for kind in ScheduleKind),
+                     default=ScheduleKind.CONSTANT.value)
     sim.set_defaults(handler=_cmd_simulate)
 
     bnd = sub.add_parser("bound", help="emit a bound curve without running the iteration")
     add_common(bnd)
-    bnd.add_argument("--beta-table", choices=["builtin", "search"], default="builtin")
     bnd.set_defaults(handler=_cmd_bound)
+
+    for p in (sim, bnd):
+        p.add_argument("--beta-table", choices=["builtin", "search"], default="builtin",
+                       help="per-period factor of the max-norm bound for theta in (0, pi/2): "
+                       "the paper's table where it has the angle, else a search; or always a search")
 
     search = sub.add_parser("search-beta", help="brute-force the per-period contraction factor")
     search.add_argument("--theta", type=_angle_arg, required=True, metavar="P/Q")
@@ -193,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.set_defaults(handler=_cmd_search_beta)
 
     mc = sub.add_parser("mc", help="Monte Carlo runs of the noisy iteration")
-    add_common(mc, with_schedule=False)
+    add_common(mc)
     mc.add_argument("--A", type=_nonneg_arg, default=2.0, help="additive noise second moment")
     mc.add_argument("--B", type=_nonneg_arg, default=0.0,
                     help="state-proportional noise coefficient")
@@ -204,23 +190,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(header: str, rows: list[str], out: str | None) -> None:
-    sink = nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="")
-    with sink as handle:
-        handle.write(header)
-        handle.writelines(rows)
+def _write_csv(header: str, rows: list[str], out: str | None) -> int:
+    """Write the table to `out`, or to stdout when it is None; return the exit code."""
+    try:
+        if out is None:
+            sys.stdout.write(header)
+            sys.stdout.writelines(rows)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(header)
+                handle.writelines(rows)
+    except OSError as exc:
+        if out is None:
+            # Point stdout at devnull so that the flush at exit raises nothing.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return EXIT_PIPE  # the reader closed the pipe: exit 1 quietly, as Python does on EPIPE
+        print(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         header, rows = args.handler(args)
     except KmrotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _write_csv(header, rows, args.out)
-    return EXIT_OK
+    return _write_csv(header, rows, args.out)
 
 
 def entrypoint() -> None:

@@ -21,10 +21,6 @@ class OutOfRangeError(KmrotError):
     """Angle outside the domain supported by the operation."""
 
 
-class MissingBetaUError(KmrotError):
-    """A per-period contraction factor is required but none was supplied."""
-
-
 class UnsupportedAlphaError(KmrotError):
     """The requested bound only holds for step size alpha = 0.5."""
 

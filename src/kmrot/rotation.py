@@ -108,6 +108,10 @@ class Angle:
         """The angle 2*pi - theta (same iteration behavior, opposite turn direction)."""
         return Angle(2 * self.q - self.p, self.q)
 
+    def folded(self) -> Angle:
+        """The angle in (0, pi] with the same iteration behavior: theta or its mirror."""
+        return self if self.p <= self.q else self.mirrored()
+
     def __str__(self) -> str:
         return f"{self.p}/{self.q}*pi"
 

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
+import kmrot.bounds
 from kmrot import (
     Angle,
     InvalidAlphaError,
-    MissingBetaUError,
     NonFiniteError,
     NormKind,
     OutOfRangeError,
@@ -24,6 +24,7 @@ from kmrot import (
     optimal_alpha_l2,
     pseudo_period,
     run_km,
+    search_beta_u,
     sin_cos_pi,
 )
 
@@ -173,9 +174,22 @@ class TestLinfBound:
         with pytest.raises(UnsupportedAlphaError):
             linf_bound(Angle(1, 2), 0.9, 1.0, 5)
 
-    def test_missing_contraction_factor_rejected(self):
-        with pytest.raises(MissingBetaUError):
-            linf_bound(Angle(1, 4), 0.5, 1.0, 5)
+    @pytest.mark.parametrize("theta", [Angle(1, 5), Angle(9, 5)])
+    def test_missing_contraction_factor_is_searched(self, theta):
+        searched = search_beta_u(Angle(1, 5)).beta_u
+        assert linf_bound(theta, 0.5, 1.0, 40).values == \
+            linf_bound(theta, 0.5, 1.0, 40, beta_u=searched).values
+
+    @pytest.mark.parametrize("alpha, d, error", [(0.3, 1.0, UnsupportedAlphaError),
+                                                 (0.5, math.inf, NonFiniteError),
+                                                 (0.5, math.nan, NonFiniteError)])
+    def test_rejected_before_any_search(self, alpha, d, error, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("search_beta_u ran")
+
+        monkeypatch.setattr(kmrot.bounds, "search_beta_u", no_search)
+        with pytest.raises(error):
+            linf_bound(Angle(1, 5), alpha, d, 5)
 
     def test_bad_contraction_factor_rejected(self):
         with pytest.raises(ValueError):

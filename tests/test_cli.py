@@ -1,6 +1,7 @@
 """CLI behavior: CSV output, exit codes, determinism, round-trips."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -57,13 +58,11 @@ class TestSimulate:
         assert code == 3
         assert "0.5" in err
 
-    def test_unknown_angle_without_builtin_factor_exits_3(self, capsys):
-        code, _, err = run_cli(
-            ["simulate", "--theta", "1/5", "--alpha", "0.5", "--norm", "linf", "--steps", "5"],
-            capsys,
-        )
-        assert code == 3
-        assert "search" in err
+    def test_angle_outside_the_builtin_table_is_searched(self, capsys):
+        argv = ["simulate", "--theta", "1/5", "--norm", "linf", "--steps", "30"]
+        builtin = run_cli(argv, capsys)
+        assert builtin[0] == 0
+        assert builtin == run_cli(argv + ["--beta-table", "search"], capsys)
 
     def test_beta_table_search_covers_any_small_angle(self, capsys):
         code, out, _ = run_cli(
@@ -135,12 +134,6 @@ class TestBound:
         assert code == 0
         _, rows = parse_csv(out)
         assert [float(r[1]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
-
-
-    def test_decaying_schedule_exits_3(self, capsys):
-        code, out, err = run_cli(["bound", "--theta", "1/4", "--schedule", "invsqrt"], capsys)
-        assert (code, out) == (3, "")
-        assert err == "error: bounds exist only for the const schedule: got invsqrt\n"
 
 
 class TestSearchBeta:
@@ -277,11 +270,38 @@ class TestUsageErrors:
             ["mc", "--theta", "1/4", "--workers", "2"],
             ["simulate", "--theta", "1/4", "--x1", "1,inf"],
             ["bound", "--theta", "1/4", "--x1", "nan,0"],
+            ["bound", "--theta", "1/4", "--schedule", "invsqrt"],
         ],
     )
     def test_exit_code_2(self, argv, capsys):
         code, _, _ = run_cli(argv, capsys)
         assert code == 2
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_path_exits_2_with_one_line(self, where, capsys, tmp_path):
+        path = tmp_path / where
+        code, out, err = run_cli(["simulate", "--theta", "1/6", "--steps", "2", "--out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # about 1.4 MB of rows, far more than a pipe buffers
+        argv = [sys.executable, "-m", "kmrot", "simulate", "--theta", "1/6", "--steps", "20000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"k,x1,x2,norm_value,bound_value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_2_with_one_line(self):
+        argv = [sys.executable, "-m", "kmrot", "simulate", "--theta", "1/6", "--steps", "2"]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: cannot write stdout: ") and proc.stderr.count(b"\n") == 1
 
 
 class TestNonFiniteState:

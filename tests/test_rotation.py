@@ -76,6 +76,12 @@ class TestAngle:
         assert Angle(1, 1).mirrored() == Angle(1, 1)
         assert Angle(3, 2).mirrored() == Angle(1, 2)
 
+    def test_folded(self):
+        assert Angle(7, 4).folded() == Angle(1, 4)
+        assert Angle(1, 4).folded() == Angle(1, 4)
+        assert Angle(1, 1).folded() == Angle(1, 1)
+        assert Angle(5, 4).folded() == Angle(3, 4)
+
 
 class TestTrig:
     def test_exact_special_points(self):
