@@ -24,15 +24,9 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Upper-bound values per iterate.
+    """Upper-bound values per iterate; values[0] is D = dist(x_1, 0), or D^2 for noise_bound."""
 
-    `initial` is D = dist(x_1, 0), or D^2 when `squared` is set (the noise
-    bound controls the expected squared norm).
-    """
-
-    initial: float
     values: tuple[float, ...]
-    squared: bool = False
 
 
 def _check_alpha(alpha: float) -> None:
@@ -72,7 +66,7 @@ def l2_bound(theta: Angle, alpha: float, d: float, k_max: int) -> BoundCurve:
     _check_k_max(k_max)
     _check_initial(d)
     g = mu(alpha, theta)
-    return BoundCurve(d, tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1)))
+    return BoundCurve(tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1)))
 
 
 def optimal_alpha_l2(theta: Angle) -> tuple[float, float]:
@@ -114,7 +108,7 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
         factor, period = beta_u, pseudo_period(folded)
     else:
         factor, period = (1.0 + tan_pi(Fraction(3, 4) - f)) / 2.0, 1
-    return BoundCurve(d, tuple(factor ** ((k - 1) // period) * d for k in range(1, k_max + 1)))
+    return BoundCurve(tuple(factor ** ((k - 1) // period) * d for k in range(1, k_max + 1)))
 
 
 def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_max: int) -> BoundCurve:
@@ -141,4 +135,4 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
     for k in range(1, k_max + 1):
         rk = rho ** (k - 1)
         values.append(rk * d_sq + tail * (1.0 - rk))
-    return BoundCurve(d_sq, tuple(values), squared=True)
+    return BoundCurve(tuple(values))

@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable
 from itertools import count
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
@@ -86,30 +87,28 @@ def _bound_values(args: argparse.Namespace, d: float, steps: int) -> tuple[float
     return linf_bound(args.theta, args.alpha, d, steps, beta_u).values
 
 
-def _rows(fmt: str, *columns) -> list[str]:
-    """One CSV line per row: fmt % (k, column values), with k counted from 1."""
-    return [fmt % row for row in zip(count(1), *columns)]
+def _rows(fmt: str, *columns) -> Iterable[str]:
+    """CSV lines fmt % (k, column values), k counted from 1, formatted as they are read."""
+    return map(fmt.__mod__, zip(count(1), *columns))
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     kind = ScheduleKind(args.schedule)
     schedule = Schedule(kind, args.alpha if kind is ScheduleKind.CONSTANT else None)
     traj = run_km(args.theta, NormKind(args.norm), schedule, args.x1, args.steps)
-    x1s = [p.x1 for p in traj.points]
-    x2s = [p.x2 for p in traj.points]
     header = "k,x1,x2,norm_value,bound_value\n"
     if kind is not ScheduleKind.CONSTANT:
-        return header, _rows("%d,%.17g,%.17g,%.17g,\n", x1s, x2s, traj.norms)
+        return header, _rows("%d,%.17g,%.17g,%.17g,\n", traj.x1, traj.x2, traj.norms)
     bound = _bound_values(args, traj.norms[0], args.steps)
-    return header, _rows("%d,%.17g,%.17g,%.17g,%.17g\n", x1s, x2s, traj.norms, bound)
+    return header, _rows("%d,%.17g,%.17g,%.17g,%.17g\n", traj.x1, traj.x2, traj.norms, bound)
 
 
-def _cmd_bound(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _cmd_bound(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     d = norm(args.x1, NormKind(args.norm))
     return "k,bound_value\n", _rows("%d,%.17g\n", _bound_values(args, d, args.steps))
 
 
-def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     res = search_beta_u(args.theta, args.grid_step)
     row = "%d/%d,%d,%.17g,%.17g,%.17g\n" % (
         res.theta.p, res.theta.q, res.period, res.beta_u, res.argmax_start.x1, res.grid_step
@@ -117,7 +116,7 @@ def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, list[str]]:
     return "theta,period,beta_u,argmax_t,grid_step\n", [row]
 
 
-def _cmd_mc(args: argparse.Namespace) -> tuple[str, list[str]]:
+def _cmd_mc(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     cfg = McConfig(
         theta=args.theta,
         alpha=args.alpha,
@@ -190,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(header: str, rows: list[str], out: str | None) -> int:
-    """Write the table to `out`, or to stdout when it is None; return the exit code."""
+def _write_csv(header: str, rows: Iterable[str], out: str | None) -> int:
+    """Write the table to `out` (stdout when None), formatting lazy rows as written; return the exit code."""
     try:
         if out is None:
             sys.stdout.write(header)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonFiniteError
-from .rotation import Angle, NormKind, RotationOp, Vec2, apply_averaged, norm
+from .rotation import Angle, NormKind, RotationOp, Vec2, averaged_step, norm
 
 
 CLIP_MAX = 0.99
@@ -71,44 +71,43 @@ def step_size(s: Schedule, k: int) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded iterates x_1 .. x_steps with their norms.
+    """Recorded iterates x_1 .. x_steps as coordinate columns, with their norms.
 
-    Lists are 0-based: points[i] holds the iterate x_{i+1}, matching the
-    1-based indexing used by the bound formulas.  norms[0] is the initial
-    distance to the fixed point (the origin).
+    (x1[i], x2[i]) is the iterate x_{i+1}, matching the 1-based k of the
+    bound formulas, and norms[i] its norm: norms[0] is the initial distance.
     """
 
-    norm_kind: NormKind
-    theta: Angle
-    schedule: Schedule
-    points: tuple[Vec2, ...]
+    x1: tuple[float, ...]
+    x2: tuple[float, ...]
     norms: tuple[float, ...]
-
-    @property
-    def initial_distance(self) -> float:
-        return self.norms[0]
 
 
 def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2, steps: int) -> Trajectory:
-    """Iterate x_{k+1} = (1 - alpha_k) x_k + alpha_k T(x_k) for k = 1 .. steps-1.
+    """Iterate x_{k+1} = (1 - alpha_k) x_k + alpha_k T(x_k), k = 1 .. steps-1, on plain floats.
 
-    Returns all `steps` iterates including the start.  The max-norm variant
-    keeps norms non-increasing for every angle up to rounding (one step can
-    end 1 ulp above the last norm); the Euclidean variant contracts the
-    squared norm by an exact per-step factor when the schedule is constant.
-    Raises NonFiniteError when the initial norm overflows; later norms do
-    not rise above it beyond rounding, so one check suffices.
+    Returns all `steps` iterates including the start, as columns.  Max-norm
+    norms do not increase beyond rounding (a step can end 1 ulp above the
+    last); under a constant schedule the Euclidean squared norm contracts by
+    an exact per-step factor.  Raises NonFiniteError when the initial norm
+    overflows, before any step, or, from one check of the columns after
+    the steps, at the first iterate with a non-finite coordinate (the
+    max-norm rescaling can overflow).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1: got {steps}")
+    d = norm(x1, norm_kind)
+    if not math.isfinite(d):
+        raise NonFiniteError(f"initial norm must be finite: got {d}")
     op = RotationOp(theta)
-    points = [x1]
-    norms = [norm(x1, norm_kind)]
-    if not math.isfinite(norms[0]):
-        raise NonFiniteError(f"initial norm must be finite: got {norms[0]}")
-    x = x1
+    c, s, linf = op.cos_theta, op.sin_theta, norm_kind is NormKind.LINF
+    y1, y2 = x1.x1, x1.x2
+    xs1, xs2 = [y1], [y2]
     for k in range(1, steps):
-        x = apply_averaged(op, norm_kind, step_size(schedule, k), x)
-        points.append(x)
-        norms.append(norm(x, norm_kind))
-    return Trajectory(norm_kind, theta, schedule, tuple(points), tuple(norms))
+        y1, y2 = averaged_step(c, s, step_size(schedule, k), y1, y2, linf)
+        xs1.append(y1)
+        xs2.append(y2)
+    if not (all(map(math.isfinite, xs1)) and all(map(math.isfinite, xs2))):
+        bad = next(p for p in zip(xs1, xs2) if not all(map(math.isfinite, p)))
+        raise NonFiniteError(f"coordinates must be finite: {bad}")
+    norms = map(max, map(abs, xs1), map(abs, xs2)) if linf else map(math.hypot, xs1, xs2)
+    return Trajectory(tuple(xs1), tuple(xs2), tuple(norms))

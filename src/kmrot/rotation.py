@@ -7,6 +7,9 @@ the pseudo-period ceil(q/p) used by the max-norm analysis.  Trig values are
 evaluated once per operator with argument reduction on the rational, so
 quarter-turn multiples come out exact (sin(pi) is 0.0, not 1.2e-16).  All
 arithmetic is double precision.
+
+T is written once, on plain floats, as turn, with averaged_step built on
+it: the scalar reference that the Vec2 functions wrap and km_step repeats.
 """
 
 from __future__ import annotations
@@ -52,14 +55,11 @@ def sin_cos_pi(t: Fraction) -> tuple[float, float]:
         # sin(pi r) = cos(pi (1/2 - r)); keeps the libm argument small
         x = math.pi * float(Fraction(1, 2) - r)
         s, c = math.cos(x), math.sin(x)
-    quad = int(quad)
-    if quad == 0:
-        s, c = s, c
-    elif quad == 1:
+    if quad == 1:
         s, c = c, -s
     elif quad == 2:
         s, c = -s, -c
-    else:
+    elif quad == 3:
         s, c = -c, s
     # normalize -0.0 so exact zeros print and compare cleanly
     return s + 0.0, c + 0.0
@@ -155,10 +155,32 @@ class RotationOp:
         object.__setattr__(self, "cos_theta", c)
 
 
+def turn(c: float, s: float, x1: float, x2: float, linf: bool) -> tuple[float, float]:
+    """T(x) on floats: the rotation [[c, -s], [s, c]] of (x1, x2), rescaled when `linf` is set.
+
+    The rescaled image is (||x||_inf * Rx) / ||Rx||_inf, undefined at the
+    origin; its extremal component can land 1 ulp above ||x||_inf.
+    """
+    t1 = c * x1 - s * x2
+    t2 = s * x1 + c * x2
+    if linf:
+        m = max(abs(x1), abs(x2))
+        mr = max(abs(t1), abs(t2))
+        t1, t2 = (m * t1) / mr, (m * t2) / mr
+    return t1, t2
+
+
+def averaged_step(c: float, s: float, alpha: float, x1: float, x2: float, linf: bool) -> tuple[float, float]:
+    """(1 - alpha) * x + alpha * T(x) on floats, with T = turn; the origin maps to (0.0, 0.0)."""
+    if x1 == 0.0 and x2 == 0.0:
+        return 0.0, 0.0
+    t1, t2 = turn(c, s, x1, x2, linf)
+    return (1.0 - alpha) * x1 + alpha * t1, (1.0 - alpha) * x2 + alpha * t2
+
+
 def rotate(op: RotationOp, x: Vec2) -> Vec2:
     """Apply the rotation matrix to x.  Preserves the Euclidean norm."""
-    c, s = op.cos_theta, op.sin_theta
-    return Vec2(c * x.x1 - s * x.x2, s * x.x1 + c * x.x2)
+    return Vec2(*turn(op.cos_theta, op.sin_theta, x.x1, x.x2, False))
 
 
 def norm(x: Vec2, kind: NormKind) -> float:
@@ -183,48 +205,28 @@ def gamma(op: RotationOp, x: Vec2) -> float:
     if x.is_zero():
         raise ZeroVectorError("gamma is undefined at the zero vector")
     e = -math.frexp(max(abs(x.x1), abs(x.x2)))[1]
-    x = Vec2(math.ldexp(x.x1, e), math.ldexp(x.x2, e))
-    rx = rotate(op, x)
-    return max(abs(x.x1), abs(x.x2)) / max(abs(rx.x1), abs(rx.x2))
+    x1, x2 = math.ldexp(x.x1, e), math.ldexp(x.x2, e)
+    t1, t2 = turn(op.cos_theta, op.sin_theta, x1, x2, False)
+    return max(abs(x1), abs(x2)) / max(abs(t1), abs(t2))
 
 
 def normalized_rotate(op: RotationOp, x: Vec2) -> Vec2:
-    """Rotate x and rescale the image back onto the max-norm sphere of x.
-
-    Equals gamma(op, x) * Rx.  Computed as (||x||_inf * Rx) / ||Rx||_inf,
-    multiplying before dividing.  The extremal component of the image is
-    +-||x||_inf up to rounding: (m * rx) / mr can land 1 ulp above m.
-    """
+    """Rotate x and rescale the image back onto the max-norm sphere of x: gamma(op, x) * Rx."""
     if x.is_zero():
         raise ZeroVectorError("normalized rotation is undefined at the zero vector")
-    c, s = op.cos_theta, op.sin_theta
-    m = max(abs(x.x1), abs(x.x2))
-    rx1 = c * x.x1 - s * x.x2
-    rx2 = s * x.x1 + c * x.x2
-    mr = max(abs(rx1), abs(rx2))
-    return Vec2((m * rx1) / mr, (m * rx2) / mr)
+    return Vec2(*turn(op.cos_theta, op.sin_theta, x.x1, x.x2, True))
 
 
 def apply_averaged(op: RotationOp, kind: NormKind, alpha: float, x: Vec2) -> Vec2:
-    """One averaged step (1 - alpha) * x + alpha * T(x).
+    """One averaged step (1 - alpha) * x + alpha * T(x): averaged_step on a checked Vec2.
 
-    T is the plain rotation under the Euclidean norm (the Euclidean
+    T is turn: the plain rotation under the Euclidean norm (the Euclidean
     rescaling factor is identically 1) and the rescaled rotation under the
-    max norm.  The origin is an absorbing fixed point in both cases.  This
-    is the scalar reference for km_step, which repeats its expressions.
+    max norm.  The origin is an absorbing fixed point in both cases.
     """
     if not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in (0, 1): got {alpha}")
-    if x.is_zero():
-        return Vec2(0.0, 0.0)
-    c, s = op.cos_theta, op.sin_theta
-    t1 = c * x.x1 - s * x.x2
-    t2 = s * x.x1 + c * x.x2
-    if kind is NormKind.LINF:
-        m = max(abs(x.x1), abs(x.x2))
-        mr = max(abs(t1), abs(t2))
-        t1, t2 = (m * t1) / mr, (m * t2) / mr
-    return Vec2((1.0 - alpha) * x.x1 + alpha * t1, (1.0 - alpha) * x.x2 + alpha * t2)
+    return Vec2(*averaged_step(op.cos_theta, op.sin_theta, alpha, x.x1, x.x2, kind is NormKind.LINF))
 
 
 def km_step(
@@ -243,7 +245,7 @@ def km_step(
     rotation given by c = cos(theta) and s = sin(theta).  T is the rescaled
     rotation when `linf` is set and the plain one otherwise; T fixes the
     origin.  The noise w1, w2 is added to T(x) only when given.  Without it
-    every element is bit-identical to apply_averaged on that point, down to
+    every element is bit-identical to averaged_step on that point, down to
     the sign of zero: the origin maps to +0.0, and no zero is added, since
     t + 0.0 would turn t = -0.0 into +0.0.
     """

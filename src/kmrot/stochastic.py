@@ -32,7 +32,7 @@ from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
 
 _CHUNK = 2048
 _ADD_SAMPLES = 2**16
-_BLOCK = 2**14  # samples per frexp/bincount pass; bounds the temporaries
+_BLOCK = 2**14  # samples, and bins, per frexp/bincount pass; bounds the temporaries
 _SPAN = 36  # the largest piece shift, in exponent steps
 _LIMB = 5  # bins per int64 limb of the fold
 _UNIT = 1073 + 53  # frexp exponents are >= -1073, so 2^-_UNIT divides every x
@@ -140,11 +140,13 @@ class ExactSums:
         if not finite.all():
             self._bad += count - finite.sum(axis=1)
             block = np.where(finite, block, 0.0)
-        rows = max(1, _BLOCK // count)
-        for k in range(0, len(block), rows):
-            self._add_rows(k, block[k:k + rows])
+        rows, first = max(1, _BLOCK // count), 0
+        while first < len(block):
+            rows = self._add_rows(first, block[first:first + rows])
+            first += rows
 
-    def _add_rows(self, first: int, block: np.ndarray) -> None:
+    def _add_rows(self, first: int, block: np.ndarray) -> int:
+        """Bin rows block[0 ..] as series first ..; return how many rows that took."""
         f, e = np.frexp(block)
         # zeros add nothing; they take the exponent of their row's largest
         # sample, so they do not widen the row
@@ -153,6 +155,8 @@ class ExactSums:
         # bin e - lo of row r, in rows of whole limbs; a piece shifted by s
         # lands s bins higher
         width = -(-(int((e.max(axis=1) - lo).max()) + 1 + _SPAN) // _LIMB) * _LIMB
+        if len(block) > 1 and len(block) * width > _BLOCK:
+            return self._add_rows(first, block[:len(block) // 2])  # the bins, too, stay within _BLOCK
         size = len(block) * width
         index = (e - lo[:, None] + np.arange(0, size, width)[:, None]).ravel()
         m = f * 2.0**53
@@ -173,6 +177,7 @@ class ExactSums:
             limbs = total.reshape(len(block), -1, _LIMB).astype(np.int64) @ weights
             for k, (o, row) in enumerate(zip(offsets, limbs.tolist()), first):
                 totals[k] += sum(v << bits * (o + _LIMB * i) for i, v in enumerate(row) if v)
+        return len(block)
 
     def _check_finite(self) -> None:
         bad = np.flatnonzero(self._bad)

@@ -88,7 +88,6 @@ class TestL2Bound:
             d = rng.uniform(0.0, 100.0)
             curve = l2_bound(sample_angle(rng), rng.uniform(0.01, 0.99), d, 3)
             assert curve.values[0] == d
-            assert curve.initial == d
 
 
 class TestOptimalAlpha:
@@ -212,7 +211,6 @@ class TestNoiseBound:
             d_sq = rng.uniform(0.0, 50.0)
             curve = noise_bound(sample_angle(rng), rng.uniform(0.05, 0.95), d_sq, 2.0, 0.0, 4)
             assert curve.values[0] == d_sq
-            assert curve.squared
 
     def test_stability_threshold(self):
         # at a quarter of a half turn with alpha 0.5 the threshold is about 0.5858

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -103,11 +104,25 @@ class TestSimulate:
         _, rows = parse_csv(out)
         traj = run_km(Angle(1, 12), NormKind.LINF, Schedule.constant(0.5), Vec2(3.0, -7.0), 40)
         curve = linf_bound(Angle(1, 12), 0.5, traj.norms[0], 40, beta_u=0.8974)
-        for row, point, value, cap in zip(rows, traj.points, traj.norms, curve.values):
-            assert float(row[1]) == point.x1
-            assert float(row[2]) == point.x2
+        for row, a, b, value, cap in zip(rows, traj.x1, traj.x2, traj.norms, curve.values):
+            assert float(row[1]) == a
+            assert float(row[2]) == b
             assert float(row[3]) == value
             assert float(row[4]) == cap
+
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_long_run_holds_columns_not_rows(self, norm, tmp_path):
+        # a Vec2 per iterate and a list of all row strings peaked at 10.9 MiB
+        argv = ["simulate", "--theta", "1/12", "--norm", norm, "--steps", "30000", "--out", str(tmp_path / "o.csv")]
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6 * 2**20
 
 
 class TestBound:

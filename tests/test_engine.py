@@ -2,15 +2,21 @@
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kmrot import (
     Angle,
+    NonFiniteError,
     NormKind,
+    RotationOp,
     Schedule,
     ScheduleKind,
     Vec2,
+    apply_averaged,
     beta_l,
     mu,
     norm,
@@ -22,6 +28,13 @@ from kmrot import (
 from kmrot.engine import CLIP_MAX
 
 from _support import sample_angle
+
+angles = st.integers(1, 64).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Angle(p, q)))
+alphas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
 
 
 class TestStepSize:
@@ -64,12 +77,12 @@ class TestStepSize:
 class TestRunKm:
     def test_half_turn_collapses(self):
         traj = run_km(Angle(1, 1), NormKind.L2, Schedule.constant(0.5), Vec2(10.0, 30.0), 3)
-        assert traj.points == (Vec2(10.0, 30.0), Vec2(0.0, 0.0), Vec2(0.0, 0.0))
+        assert (traj.x1, traj.x2) == ((10.0, 0.0, 0.0), (30.0, 0.0, 0.0))
         assert traj.norms[1:] == (0.0, 0.0)
 
     def test_quarter_turn_max_norm_steps(self):
         traj = run_km(Angle(1, 2), NormKind.LINF, Schedule.constant(0.5), Vec2(1.0, 0.0), 3)
-        assert traj.points == (Vec2(1.0, 0.0), Vec2(0.5, 0.5), Vec2(0.0, 0.5))
+        assert (traj.x1, traj.x2) == ((1.0, 0.5, 0.0), (0.0, 0.5, 0.5))
 
     def test_l2_one_step_contraction(self):
         traj = run_km(Angle(1, 4), NormKind.L2, Schedule.constant(0.5), Vec2(10.0, 30.0), 2)
@@ -77,10 +90,33 @@ class TestRunKm:
 
     def test_length_and_recorded_norms(self):
         traj = run_km(Angle(2, 3), NormKind.LINF, Schedule.inv_sqrt(), Vec2(4.0, -1.0), 50)
-        assert len(traj.points) == len(traj.norms) == 50
-        for point, value in zip(traj.points, traj.norms):
-            assert value == norm(point, NormKind.LINF)
-        assert traj.initial_distance == 4.0
+        assert len(traj.x1) == len(traj.x2) == len(traj.norms) == 50
+        for a, b, value in zip(traj.x1, traj.x2, traj.norms):
+            assert value == norm(Vec2(a, b), NormKind.LINF)
+        assert traj.norms[0] == 4.0
+
+    @given(angles, alphas, st.sampled_from(NormKind), st.sampled_from(list(ScheduleKind)),
+           st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    @example(Angle(1, 6), 0.5, NormKind.L2, ScheduleKind.CONSTANT, 0.0, 0.0)
+    @example(Angle(1, 6), 0.5, NormKind.LINF, ScheduleKind.CONSTANT, -0.0, -0.0)
+    @example(Angle(1, 64), 0.5, NormKind.LINF, ScheduleKind.INV_SQRT, 5e-324, -0.0)
+    @example(Angle(1, 64), 0.5, NormKind.L2, ScheduleKind.INV_LOG, -0.0, 5e-324)
+    def test_columns_match_apply_averaged_bitwise(self, a, alpha, kind, schedule_kind, x1, x2):
+        schedule = Schedule(schedule_kind, alpha if schedule_kind is ScheduleKind.CONSTANT else None)
+        traj = run_km(a, kind, schedule, Vec2(x1, x2), 12)
+        op, x = RotationOp(a), Vec2(x1, x2)
+        expected = [x]
+        for k in range(1, 12):
+            x = apply_averaged(op, kind, step_size(schedule, k), x)
+            expected.append(x)
+        assert [_bits(v) for v in traj.x1] == [_bits(p.x1) for p in expected]
+        assert [_bits(v) for v in traj.x2] == [_bits(p.x2) for p in expected]
+        assert [_bits(v) for v in traj.norms] == [_bits(norm(p, kind)) for p in expected]
+
+    def test_later_non_finite_iterate_names_its_coordinates(self):
+        # m * t overflows in the max-norm rescaling at this scale
+        with pytest.raises(NonFiniteError, match=r"^coordinates must be finite: \(inf, inf\)$"):
+            run_km(Angle(1, 6), NormKind.LINF, Schedule.constant(0.5), Vec2(1e155, 1e155), 3)
 
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -343,6 +343,21 @@ class TestExactSums:
         assert peak < 16 * 2**20
         assert sums.totals() == (1e-300,) * 8192
 
+    def test_wide_rows_keep_a_pass_small(self):
+        # each row spans about 1000 binades; a pass sized from the sample
+        # count alone would bin all 8192 rows at once, about 158 MiB
+        x = np.tile([1e-300, 1.0], (8192, 1))
+        tracemalloc.start()
+        try:
+            sums = exact_sums(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        by_column = exact_sums(x, [1])
+        assert sums.totals() == by_column.totals()
+        assert sums.moments() == by_column.moments()
+
     def test_add_rejects_more_samples_than_the_bins_hold(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_ADD_SAMPLES", 4)
         with pytest.raises(ValueError):
