@@ -9,19 +9,22 @@ max-norm variant is simulation only and carries no bound.
 
 Reproducibility: replica r draws all of its Gaussians from a generator
 seeded by (seed, r), so per-replica paths never depend on how replicas are
-chunked.  Each chunk's squared norms are binned and folded at once into
-exact Python-int sums of x and x^2 per step (ExactSums) and dropped; no
-bins, exponent window or fold threshold outlive the chunk.  So the result
-does not depend on the order in which chunks arrive, and memory does not
-grow with the replica count.  Each mean is the exact sum rounded once and
-divided by the replica count, which is math.fsum's value, or the exact mean
-rounded once where only that rounded sum overflows; each standard error is
-the square root of the exact sample variance rounded once.
+chunked or how steps are blocked.  A chunk of replicas runs one block of
+steps at a time; each block's squared norms are binned and folded at once
+into exact Python-int sums of x and x^2 per step (ExactSums) and dropped;
+no bins, exponent window or fold threshold outlive the block.  So the
+result does not depend on the order in which blocks arrive, and memory is
+O(_CHUNK * _STEPS) plus the per-step totals, for any replica or step
+count.  Each mean is the exact sum rounded once and divided by the replica
+count, which is math.fsum's value, or the exact mean rounded once where
+only that rounded sum overflows; each standard error is the square root of
+the exact sample variance rounded once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,8 @@ from .bounds import BoundCurve, noise_bound
 from .errors import NonFiniteError, UnstableError
 from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
 
-_CHUNK = 2048
+_CHUNK = 2048  # replicas stepped together
+_STEPS = 128  # steps drawn, stepped and summed together
 _ADD_SAMPLES = 2**16
 _BLOCK = 2**14  # samples, and bins, per frexp/bincount pass; bounds the temporaries
 _SPAN = 36  # the largest piece shift, in exponent steps
@@ -128,22 +132,28 @@ class ExactSums:
         self._sxx = [0] * series
         self._bad = np.zeros(series, np.int64)
 
-    def add(self, block: np.ndarray) -> None:
-        """Add samples: block[k] holds new samples of series k."""
+    def add(self, block: np.ndarray, first: int = 0) -> None:
+        """Add samples: block[k] holds new samples of series first + k.
+
+        n counts the samples added to series 0, so each set of samples must
+        reach every series, in one add or in row slices at their offsets,
+        with the same count.
+        """
         count = block.shape[1]
         if count == 0:
             return
         if count > _ADD_SAMPLES:
             raise ValueError(f"at most {_ADD_SAMPLES} samples per add: got {count}")
-        self.n += count
+        if first == 0:
+            self.n += count
         finite = np.isfinite(block)
         if not finite.all():
-            self._bad += count - finite.sum(axis=1)
+            self._bad[first:first + len(block)] += count - finite.sum(axis=1)
             block = np.where(finite, block, 0.0)
-        rows, first = max(1, _BLOCK // count), 0
-        while first < len(block):
-            rows = self._add_rows(first, block[first:first + rows])
-            first += rows
+        rows, done = max(1, _BLOCK // count), 0
+        while done < len(block):
+            rows = self._add_rows(first + done, block[done:done + rows])
+            done += rows
 
     def _add_rows(self, first: int, block: np.ndarray) -> int:
         """Bin rows block[0 ..] as series first ..; return how many rows that took."""
@@ -249,49 +259,58 @@ def _sqrt_ratio(p: int, q: int) -> float:
     return math.ldexp(math.sqrt(r), h)
 
 
-def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int, stop: int) -> np.ndarray:
-    """Squared norms of replicas start .. stop-1: row j holds step j of each.
+def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int,
+                    stop: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Squared norms of replicas start .. stop-1, _STEPS steps at a time.
 
-    Vectorized over the replicas; km_step is element-wise, so the
-    per-replica paths do not depend on the chunk bounds.
+    Yields (first, sq), where sq[j] holds step first + j of each replica.
+    The replicas' generators live across blocks, and each block draws every
+    replica's normals into its own row; a stream drawn in pieces gives the
+    same numbers as one draw.  Vectorized over the replicas; km_step is
+    element-wise, so the per-replica paths do not depend on the chunk or
+    block bounds.
     """
     steps = cfg.steps
     m = stop - start
     a, b = cfg.noise.a, cfg.noise.b
     linf = cfg.norm_kind is NormKind.LINF
 
-    z = np.empty((steps - 1, m, 2))
-    for i, r in enumerate(range(start, stop)):
-        z[:, i, :] = replica_rng(cfg.seed, r).standard_normal((steps - 1, 2))
-
+    rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)]
+    z = np.empty((m, min(_STEPS, steps), 2))
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
-    sq = np.empty((steps, m))
-    for j in range(steps):
-        sq_l2 = x1 * x1 + x2 * x2
-        if linf:
-            mx = np.maximum(np.abs(x1), np.abs(x2))
-            sq[j] = mx * mx
-        else:
-            sq[j] = sq_l2
-        if j == steps - 1:
-            break
-        scale = np.sqrt((a + b * sq_l2) * 0.5)
-        x1, x2 = km_step(op.cos_theta, op.sin_theta, cfg.alpha, x1, x2, linf,
-                         scale * z[j, :, 0], scale * z[j, :, 1])
-    return sq
+    for first in range(0, steps, _STEPS):
+        block = min(_STEPS, steps - first)
+        draws = min(block, steps - 1 - first)  # the run's last step draws nothing
+        for g, row in zip(rngs, z):
+            g.standard_normal(out=row[:draws])
+        sq = np.empty((block, m))
+        for j in range(block):
+            sq_l2 = x1 * x1 + x2 * x2
+            if linf:
+                mx = np.maximum(np.abs(x1), np.abs(x2))
+                sq[j] = mx * mx
+            else:
+                sq[j] = sq_l2
+            if j == draws:
+                break
+            scale = np.sqrt((a + b * sq_l2) * 0.5)
+            x1, x2 = km_step(op.cos_theta, op.sin_theta, cfg.alpha, x1, x2, linf,
+                             scale * z[:, j, 0], scale * z[:, j, 1])
+        yield first, sq
 
 
 def run_stochastic_km(cfg: McConfig) -> McResult:
     """Run `replicas` independent chains and average the squared norms.
 
-    Replicas run _CHUNK at a time, and each chunk's squared norms are added
-    to exact per-step sums (ExactSums) and then dropped, so memory is
-    O(_CHUNK * steps) for any replica count.  Identical configs give
-    identical results for any chunk size: replicas own their noise streams
-    and the sums are exact.  The Euclidean bound's initial-distance check
-    runs before the simulation.  A replica whose squared norm overflows or
-    turns nan raises NonFiniteError.
+    Replicas run _CHUNK at a time and _STEPS steps at a time, and each
+    block's squared norms are added to exact per-step sums (ExactSums) and
+    then dropped, so memory is O(_CHUNK * _STEPS) plus the per-step totals
+    for any replica or step count.  Identical configs give identical results
+    for any chunk or block size: replicas own their noise streams and the
+    sums are exact.  The Euclidean bound's initial-distance check runs
+    before the simulation.  A replica whose squared norm overflows or turns
+    nan raises NonFiniteError.
     """
     bound: BoundCurve | None = None
     unstable = False
@@ -306,6 +325,7 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     sums = ExactSums(cfg.steps)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, cfg.replicas, _CHUNK):
-            sums.add(_simulate_chunk(cfg, op, lo, min(lo + _CHUNK, cfg.replicas)))
+            for first, sq in _simulate_chunk(cfg, op, lo, min(lo + _CHUNK, cfg.replicas)):
+                sums.add(sq, first)
     mean, serr = sums.moments()
     return McResult(mean, serr, bound, unstable)

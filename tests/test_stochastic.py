@@ -107,6 +107,19 @@ class TestRunStochastic:
         assert chunked.mean_sq_norm == baseline.mean_sq_norm
         assert chunked.std_err == baseline.std_err
 
+    def test_step_block_does_not_change_result(self, monkeypatch):
+        # a horizon one step past a whole number of blocks ends in a block
+        # of one step, which draws no noise: 65 steps at 64, 129 at 128
+        configs = [make_config(replicas=30, steps=steps, norm_kind=kind)
+                   for steps in (1, 2, 64, 65, 129) for kind in NormKind]
+        baselines = [run_stochastic_km(cfg) for cfg in configs]
+        for block in (1, 3, 7, 64, 200):
+            monkeypatch.setattr(stochastic, "_STEPS", block)
+            for cfg, baseline in zip(configs, baselines):
+                blocked = run_stochastic_km(cfg)
+                assert blocked.mean_sq_norm == baseline.mean_sq_norm
+                assert blocked.std_err == baseline.std_err
+
     def test_matches_scalar_reference(self):
         cfg = make_config(alpha=0.35, noise=NoiseParams(0.7, 0.3), replicas=3, steps=25, seed=99)
         res = run_stochastic_km(cfg)
@@ -197,7 +210,8 @@ class TestRunStochastic:
         # each squared norm is about 2e306, so their sum is not a finite double
         cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e153, 1e153), replicas=100, steps=2)
         res = run_stochastic_km(cfg)
-        sq = stochastic._simulate_chunk(cfg, RotationOp(cfg.theta), 0, cfg.replicas)
+        sq = np.concatenate([block for _, block in
+                             stochastic._simulate_chunk(cfg, RotationOp(cfg.theta), 0, cfg.replicas)])
         with pytest.raises(OverflowError):
             math.fsum(sq[0].tolist())
         for k in range(cfg.steps):
@@ -215,6 +229,18 @@ class TestRunStochastic:
         finally:
             tracemalloc.stop()
         assert peak < replicas * steps * 8 / 2
+
+    def test_memory_does_not_grow_with_steps(self):
+        # one chunk's noise and squared norms for the whole horizon would
+        # take about 70 MiB
+        cfg = make_config(replicas=2048, steps=1500, noise=NoiseParams(2.0, 0.0))
+        tracemalloc.start()
+        try:
+            run_stochastic_km(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_memory_of_a_decaying_run_stays_small(self):
         # the squared norm halves each step and reaches 0 near step 1080; one
@@ -246,6 +272,14 @@ def fsum_or_none(values):
     return total if math.isfinite(total) else None
 
 
+def outcome(sums):
+    """Totals and moments, or the message of the NonFiniteError they raise."""
+    try:
+        return sums.totals(), sums.moments()
+    except NonFiniteError as exc:
+        return str(exc)
+
+
 any_double = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -263,12 +297,6 @@ class TestExactSums:
         st.lists(st.integers(0, 300), max_size=6),
     )
     def test_order_and_blocks_do_not_matter(self, x, rnd, splits):
-        def outcome(sums):
-            try:
-                return sums.totals(), sums.moments()
-            except NonFiniteError as exc:
-                return str(exc)
-
         order = list(range(x.shape[1]))
         rnd.shuffle(order)
         assert outcome(exact_sums(x[:, order], splits)) == outcome(exact_sums(x))
@@ -295,6 +323,35 @@ class TestExactSums:
         scaled_mean, scaled_serr = exact_sums(np.ldexp(x, e)[None, :]).moments()
         assert scaled_mean[0] == math.ldexp(mean[0], e)
         assert scaled_serr[0] == math.ldexp(serr[0], e)
+
+    @given(
+        # nan and inf too: the error must name the same series either way
+        hnp.arrays(np.float64, st.tuples(st.integers(2, 8), st.integers(1, 50)), elements=st.floats()),
+        st.lists(st.integers(1, 7), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_row_slices_at_their_offsets_match_one_add(self, x, cuts, rnd):
+        bounds = sorted({0, x.shape[0], *(min(c, x.shape[0] - 1) for c in cuts)})
+        slices = list(zip(bounds, bounds[1:]))
+        rnd.shuffle(slices)
+        sliced = stochastic.ExactSums(x.shape[0])
+        for lo, hi in slices:
+            sliced.add(x[lo:hi], lo)
+        whole = stochastic.ExactSums(x.shape[0])
+        whole.add(x)
+        assert sliced.n == whole.n == x.shape[1]
+        assert outcome(sliced) == outcome(whole)
+
+    def test_non_finite_sample_in_a_slice_names_its_series(self):
+        x = np.ones((6, 4))
+        x[4, 2] = np.inf
+        x[5, 1:] = np.nan
+        sums = stochastic.ExactSums(6)
+        sums.add(x[:3])
+        sums.add(x[3:], 3)
+        with pytest.raises(NonFiniteError, match="k = 5: 1 of 4 replicas"):
+            sums.moments()
+        assert sums._bad.tolist() == [0, 0, 0, 0, 1, 3]
 
     def test_a_block_of_zeros_after_samples_adds_nothing(self):
         # series 0 gets only a zero in the second block while series 1 does not
