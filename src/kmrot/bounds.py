@@ -117,7 +117,8 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
     With rho = mu + alpha^2 * b, values[k] = rho^(k-1) * D^2
     + a * alpha^2 * (1 - rho^(k-1)) / (1 - rho).  Requires rho < 1; for
     b > 0 that means b < (1 - mu) / alpha^2.  Values bound the expected
-    squared Euclidean norm, not the norm itself.
+    squared Euclidean norm, not the norm itself.  Raises NonFiniteError
+    when a value overflows (or the overflowing tail turns it nan).
     """
     _check_k_max(k_max)
     _check_initial(d_sq, "initial squared distance")
@@ -134,5 +135,9 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
     values = []
     for k in range(1, k_max + 1):
         rk = rho ** (k - 1)
-        values.append(rk * d_sq + tail * (1.0 - rk))
+        value = rk * d_sq + tail * (1.0 - rk)
+        if not math.isfinite(value):
+            raise NonFiniteError(f"noise bound not finite at k = {k}: got {value} "
+                                 f"(a * alpha^2 / (1 - rho) = {tail})")
+        values.append(value)
     return BoundCurve(tuple(values))

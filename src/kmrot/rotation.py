@@ -8,8 +8,9 @@ evaluated once per operator with argument reduction on the rational, so
 quarter-turn multiples come out exact (sin(pi) is 0.0, not 1.2e-16).  All
 arithmetic is double precision.
 
-T is written once, on plain floats, as turn, with averaged_step built on
-it: the scalar reference that the Vec2 functions wrap and km_step repeats.
+T is written once, as turn, for plain floats and float64 arrays alike.
+averaged_step builds the averaged step on it for one point, which the Vec2
+functions wrap, and km_step for arrays of points.
 """
 
 from __future__ import annotations
@@ -155,17 +156,20 @@ class RotationOp:
         object.__setattr__(self, "cos_theta", c)
 
 
-def turn(c: float, s: float, x1: float, x2: float, linf: bool) -> tuple[float, float]:
-    """T(x) on floats: the rotation [[c, -s], [s, c]] of (x1, x2), rescaled when `linf` is set.
+def turn(c: float, s: float, x1: float | np.ndarray, x2: float | np.ndarray, linf: bool,
+         maximum=max) -> tuple:
+    """T(x): the rotation [[c, -s], [s, c]] of (x1, x2), rescaled when `linf` is set.
 
-    The rescaled image is (||x||_inf * Rx) / ||Rx||_inf, undefined at the
-    origin; its extremal component can land 1 ulp above ||x||_inf.
+    Written once for floats and, with maximum=np.maximum, for float64
+    arrays, element-wise.  The rescaled image is (||x||_inf * Rx) /
+    ||Rx||_inf, undefined at the origin (0/0); its extremal component can
+    land 1 ulp above ||x||_inf.
     """
     t1 = c * x1 - s * x2
     t2 = s * x1 + c * x2
     if linf:
-        m = max(abs(x1), abs(x2))
-        mr = max(abs(t1), abs(t2))
+        m = maximum(abs(x1), abs(x2))
+        mr = maximum(abs(t1), abs(t2))
         t1, t2 = (m * t1) / mr, (m * t2) / mr
     return t1, t2
 
@@ -242,26 +246,19 @@ def km_step(
     """The averaged step (1 - alpha) * x + alpha * (T(x) + w) on float64 arrays.
 
     Element-wise over the points (x1[i], x2[i]) of 1-D arrays, with the
-    rotation given by c = cos(theta) and s = sin(theta).  T is the rescaled
-    rotation when `linf` is set and the plain one otherwise; T fixes the
-    origin.  The noise w1, w2 is added to T(x) only when given.  Without it
-    every element is bit-identical to averaged_step on that point, down to
-    the sign of zero: the origin maps to +0.0, and no zero is added, since
-    t + 0.0 would turn t = -0.0 into +0.0.
+    rotation given by c = cos(theta) and s = sin(theta) and T = turn.  T is
+    set to +0.0 at the origin, where the rescaled rotation is 0/0, and the
+    noise w1, w2 is added to T(x) only when given.  Without noise every
+    element is bit-identical to averaged_step on that point, down to the
+    sign of zero, since no zero is added: t + 0.0 would turn t = -0.0 into
+    +0.0.
     """
-    t1 = c * x1 - s * x2
-    t2 = s * x1 + c * x2
-    if linf:
-        m = np.maximum(np.abs(x1), np.abs(x2))
-        mr = np.maximum(np.abs(t1), np.abs(t2))
-        mr[mr == 0.0] = 1.0  # only at the origin, where m is 0
-        t1 = (m * t1) / mr
-        t2 = (m * t2) / mr
-    if w1 is None:
-        origin = (x1 == 0.0) & (x2 == 0.0)
-        t1[origin] = 0.0
-        t2[origin] = 0.0
-    else:
+    with np.errstate(invalid="ignore"):
+        t1, t2 = turn(c, s, x1, x2, linf, np.maximum)
+    origin = (x1 == 0.0) & (x2 == 0.0)
+    t1[origin] = 0.0
+    t2[origin] = 0.0
+    if w1 is not None:
         t1 = t1 + w1
         t2 = t2 + w2
     return (1.0 - alpha) * x1 + alpha * t1, (1.0 - alpha) * x2 + alpha * t2

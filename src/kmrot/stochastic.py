@@ -11,14 +11,13 @@ Reproducibility: replica r draws all of its Gaussians from a generator
 seeded by (seed, r), so per-replica paths never depend on how replicas are
 chunked or how steps are blocked.  A chunk of replicas runs one block of
 steps at a time; each block's squared norms are binned and folded at once
-into exact Python-int sums of x and x^2 per step (ExactSums) and dropped;
-no bins, exponent window or fold threshold outlive the block.  So the
-result does not depend on the order in which blocks arrive, and memory is
-O(_CHUNK * _STEPS) plus the per-step totals, for any replica or step
-count.  Each mean is the exact sum rounded once and divided by the replica
-count, which is math.fsum's value, or the exact mean rounded once where
-only that rounded sum overflows; each standard error is the square root of
-the exact sample variance rounded once.
+into exact Python-int sums of x and x^2 per step (ExactSums), and only
+those sums are kept.  So the result does not depend on the order in which
+blocks arrive, and memory is O(_CHUNK * _STEPS) plus the per-step totals,
+for any replica or step count.  Each mean is the exact sum rounded once
+and divided by the replica count, which is math.fsum's value, or the exact
+mean rounded once where only that rounded sum overflows; each standard
+error is the square root of the exact sample variance rounded once.
 """
 
 from __future__ import annotations
@@ -111,8 +110,8 @@ class ExactSums:
     + 2bc*2^18 + c^2, each below 2^37 in size.  Each `add` bins its samples
     per (series, exponent) with np.bincount, from each series' smallest
     exponent in that call, and folds the bins at once into exact Python-int
-    totals, _LIMB adjacent bins to one int64 limb; no bins, exponent window
-    or fold threshold outlive the call.  This is a small superaccumulator
+    totals, _LIMB adjacent bins to one int64 limb; the totals are all it
+    keeps between calls.  This is a small superaccumulator
     (Neal 2015, arXiv:1505.05571); the split of x^2 is error-free, like
     Dekker's (1971), and exact for subnormals too.  Integer totals make the
     sums independent of the order of samples and of blocks, and each result

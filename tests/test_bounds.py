@@ -259,6 +259,12 @@ def test_non_finite_initial_distance_rejected(d):
         noise_bound(Angle(1, 6), 0.5, d, 1.0, 0.0, 3)
 
 
+def test_noise_bound_whose_tail_overflows_rejected():
+    # a * alpha^2 / (1 - rho) overflows, and inf * (1 - 1) is nan at k = 1
+    with pytest.raises(NonFiniteError, match=r"^noise bound not finite at k = 1: [^\n]*$"):
+        noise_bound(Angle(1, 6), 0.5, 1000.0, 1e308, 0.0, 3)
+
+
 class TestDominanceSmoke:
     @pytest.mark.parametrize("p,q,beta_u", [(1, 4, 0.7504), (2, 3, None), (1, 1, None), (7, 4, 0.7504)])
     def test_bound_sits_above_trajectory(self, p, q, beta_u):

@@ -329,6 +329,7 @@ class TestNonFiniteState:
             "simulate --theta 1/1 --schedule invk --x1 1.5e308,1.5e308 --steps 2",
             "mc --theta 1/6 --norm linf --x1 1e200,1e200 --replicas 10 --steps 2",
             "mc --theta 1/6 --x1 1e200,1e200 --replicas 10 --steps 2",
+            "mc --theta 1/6 --A 1e308 --replicas 2 --steps 3",
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -27,7 +27,7 @@ from kmrot import (
     sin_cos_pi,
 )
 from kmrot.bounds import mu
-from kmrot.rotation import km_step
+from kmrot.rotation import km_step, turn
 
 angles = st.integers(1, 64).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Angle(p, q)))
 coords = st.floats(min_value=-1e6, max_value=1e6)
@@ -38,6 +38,9 @@ unit_scale_vectors = st.builds(Vec2, st.floats(-100, 100), st.floats(-100, 100))
 alphas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 signed_coords = st.one_of(st.sampled_from([0.0, -0.0]), coords)
 point_lists = st.lists(st.tuples(signed_coords, signed_coords), min_size=1, max_size=16)
+# (x1, x2, w1, w2): a point and the noise added to its image
+noisy_point_lists = st.lists(st.tuples(signed_coords, signed_coords, signed_coords, signed_coords),
+                             min_size=1, max_size=16)
 normal_coords = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
 
 SQRT2 = math.sqrt(2.0)
@@ -338,6 +341,25 @@ class TestKmStep:
         for p, got1, got2 in zip(points, y1.tolist(), y2.tolist()):
             expected = apply_averaged(op, kind, alpha, Vec2(*p))
             assert (_bits(got1), _bits(got2)) == (_bits(expected.x1), _bits(expected.x2))
+
+    _zero_origins = [(x1, x2, w1, w2) for x1 in (0.0, -0.0) for x2 in (0.0, -0.0)
+                     for w1 in (0.0, -0.0) for w2 in (0.0, -0.0)]
+    _subnormal_starts = [(5e-324, -0.0, -0.0, 0.0), (-0.0, 5e-324, 1.0, -2.0), (1.5e-323, -5e-324, -0.0, -0.0)]
+
+    @given(angles, alphas, noisy_point_lists, st.sampled_from(NormKind))
+    @example(Angle(1, 3), 0.25, _zero_origins, NormKind.L2)
+    @example(Angle(1, 3), 0.25, _zero_origins, NormKind.LINF)
+    @example(Angle(1, 64), 0.5, _subnormal_starts, NormKind.L2)
+    @example(Angle(1, 64), 0.5, _subnormal_starts, NormKind.LINF)
+    def test_with_noise_matches_scalar_oracle_bitwise(self, a, alpha, points, kind):
+        op = RotationOp(a)
+        c, s, linf = op.cos_theta, op.sin_theta, kind is NormKind.LINF
+        x1, x2, w1, w2 = (np.array(col) for col in zip(*points))
+        y1, y2 = km_step(c, s, alpha, x1, x2, linf, w1, w2)
+        for (p1, p2, n1, n2), got1, got2 in zip(points, y1.tolist(), y2.tolist()):
+            t1, t2 = (0.0, 0.0) if p1 == 0.0 and p2 == 0.0 else turn(c, s, p1, p2, linf)
+            expected = ((1.0 - alpha) * p1 + alpha * (t1 + n1), (1.0 - alpha) * p2 + alpha * (t2 + n2))
+            assert (_bits(got1), _bits(got2)) == tuple(map(_bits, expected))
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_noise_moves_the_origin(self, kind):
