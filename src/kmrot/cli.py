@@ -94,7 +94,9 @@ def _rows(fmt: str, *columns) -> Iterable[str]:
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     kind = ScheduleKind(args.schedule)
-    schedule = Schedule(kind, args.alpha if kind is ScheduleKind.CONSTANT else None)
+    if kind is ScheduleKind.CONSTANT and args.alpha is None:
+        args.alpha = 0.5
+    schedule = Schedule(kind, args.alpha)
     traj = run_km(args.theta, NormKind(args.norm), schedule, args.x1, args.steps)
     header = "k,x1,x2,norm_value,bound_value\n"
     if kind is not ScheduleKind.CONSTANT:
@@ -160,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     sim.add_argument("--schedule", choices=sorted(kind.value for kind in ScheduleKind),
                      default=ScheduleKind.CONSTANT.value)
-    sim.set_defaults(handler=_cmd_simulate)
+    # alpha None: --alpha not given, so a decaying schedule can refuse it
+    sim.set_defaults(handler=_cmd_simulate, alpha=None)
 
     bnd = sub.add_parser("bound", help="emit a bound curve without running the iteration")
     add_common(bnd)
@@ -212,7 +215,10 @@ def _write_csv(header: str, rows: Iterable[str], out: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.schedule != ScheduleKind.CONSTANT.value and args.alpha is not None:
+        parser.error(f"--alpha applies only to --schedule const, not {args.schedule}")
     try:
         header, rows = args.handler(args)
     except KmrotError as exc:

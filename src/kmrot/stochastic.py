@@ -14,10 +14,9 @@ steps at a time; each block's squared norms are binned and folded at once
 into exact Python-int sums of x and x^2 per step (ExactSums), and only
 those sums are kept.  So the result does not depend on the order in which
 blocks arrive, and memory is O(_CHUNK * _STEPS) plus the per-step totals,
-for any replica or step count.  Each mean is the exact sum rounded once
-and divided by the replica count, which is math.fsum's value, or the exact
-mean rounded once where only that rounded sum overflows; each standard
-error is the square root of the exact sample variance rounded once.
+for any replica or step count.  Each mean is the exact mean rounded once;
+each standard error is the square root of the exact sample variance rounded
+once.
 """
 
 from __future__ import annotations
@@ -114,9 +113,10 @@ class ExactSums:
     keeps between calls.  This is a small superaccumulator
     (Neal 2015, arXiv:1505.05571); the split of x^2 is error-free, like
     Dekker's (1971), and exact for subnormals too.  Integer totals make the
-    sums independent of the order of samples and of blocks, and each result
-    is rounded once from them.
+    sums independent of the order of samples and of blocks, and each mean is
+    the exact mean rounded once.
 
+    Every series is to receive n samples in all; the moments divide by n.
     Exactness limits: a bin gains less than 2^37 per sample, so one `add`
     takes at most _ADD_SAMPLES = 2^16 samples per series (enforced), which
     keeps its float64 bincount sums below 2^53; a limb then sums bins
@@ -124,27 +124,20 @@ class ExactSums:
     Non-finite samples are counted per series instead of summed.
     """
 
-    def __init__(self, series: int) -> None:
-        self.n = 0
+    def __init__(self, series: int, n: int) -> None:
+        self.n = n
         # units of 2^-_UNIT for x and 4^-_UNIT for x^2
         self._sx = [0] * series
         self._sxx = [0] * series
         self._bad = np.zeros(series, np.int64)
 
     def add(self, block: np.ndarray, first: int = 0) -> None:
-        """Add samples: block[k] holds new samples of series first + k.
-
-        n counts the samples added to series 0, so each set of samples must
-        reach every series, in one add or in row slices at their offsets,
-        with the same count.
-        """
+        """Add samples: block[k] holds new samples of series first + k."""
         count = block.shape[1]
         if count == 0:
             return
         if count > _ADD_SAMPLES:
             raise ValueError(f"at most {_ADD_SAMPLES} samples per add: got {count}")
-        if first == 0:
-            self.n += count
         finite = np.isfinite(block)
         if not finite.all():
             self._bad[first:first + len(block)] += count - finite.sum(axis=1)
@@ -188,45 +181,25 @@ class ExactSums:
                 totals[k] += sum(v << bits * (o + _LIMB * i) for i, v in enumerate(row) if v)
         return len(block)
 
-    def _check_finite(self) -> None:
+    def moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Per-series mean and standard error of the mean.
+
+        mean = the exact mean rounded once, never larger in size than the
+        largest sample.  std_err = sqrt(var) / sqrt(n), where the sample
+        variance (n * sum x^2 - (sum x)^2) / (n (n - 1)) is an exact ratio
+        of integers rounded once; it is exactly 0 when all samples are
+        equal, and 0 for n = 1.  Raises NonFiniteError when a series holds a
+        non-finite sample, naming the first such series k (counted from 1)
+        and the count.
+        """
         bad = np.flatnonzero(self._bad)
         if bad.size:
             k = int(bad[0])
             raise NonFiniteError(f"squared norm not finite at k = {k + 1}: "
                                  f"{self._bad[k]} of {self.n} replicas")
-
-    def totals(self) -> tuple[float, ...]:
-        """Each series' sum, rounded once from the exact sum: math.fsum's value.
-
-        Raises NonFiniteError when a series holds a non-finite sample, naming
-        the first such series k (counted from 1) and the count, or when a sum
-        does not round to a finite double.
-        """
-        self._check_finite()
-        out = []
-        for k, sx in enumerate(self._sx):
-            try:
-                out.append(sx / (1 << _UNIT))
-            except OverflowError:
-                raise NonFiniteError(f"the sum of {self.n} squared norms at k = {k + 1} "
-                                     "does not round to a finite double") from None
-        return tuple(out)
-
-    def moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Per-series mean and standard error of the mean.
-
-        mean = the exact sum rounded once, divided by n, which is
-        math.fsum(x) / n; where only that rounded sum overflows, the exact
-        mean, no larger in size than the largest sample, is rounded once
-        instead.  std_err = sqrt(var) / sqrt(n), where the sample variance
-        (n * sum x^2 - (sum x)^2) / (n (n - 1)) is an exact ratio of integers
-        rounded once; it is exactly 0 when all samples are equal, and 0 for
-        n = 1.  Raises NonFiniteError when a series holds a non-finite
-        sample.
-        """
-        self._check_finite()
         n = self.n
-        mean = tuple(_mean(sx, n) for sx in self._sx)
+        # sx counts units of 2^-_UNIT
+        mean = tuple(sx / (n << _UNIT) for sx in self._sx)
         if n == 1:
             return mean, (0.0,) * len(mean)
         den = n * (n - 1) << 2 * _UNIT
@@ -234,14 +207,6 @@ class ExactSums:
         serr = tuple(_sqrt_ratio(n * sxx - sx * sx, den) / root_n
                      for sx, sxx in zip(self._sx, self._sxx))
         return mean, serr
-
-
-def _mean(sx: int, n: int) -> float:
-    # sx counts units of 2^-_UNIT
-    try:
-        return sx / (1 << _UNIT) / n
-    except OverflowError:
-        return sx / (n << _UNIT)
 
 
 def _sqrt_ratio(p: int, q: int) -> float:
@@ -305,11 +270,11 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     Replicas run _CHUNK at a time and _STEPS steps at a time, and each
     block's squared norms are added to exact per-step sums (ExactSums) and
     then dropped, so memory is O(_CHUNK * _STEPS) plus the per-step totals
-    for any replica or step count.  Identical configs give identical results
-    for any chunk or block size: replicas own their noise streams and the
-    sums are exact.  The Euclidean bound's initial-distance check runs
-    before the simulation.  A replica whose squared norm overflows or turns
-    nan raises NonFiniteError.
+    for any replica or step count.  Each mean is the exact mean rounded
+    once.  Identical configs give identical results for any chunk or block
+    size: replicas own their noise streams and the sums are exact.  The
+    Euclidean bound's initial-distance check runs before the simulation.  A
+    replica whose squared norm overflows or turns nan raises NonFiniteError.
     """
     bound: BoundCurve | None = None
     unstable = False
@@ -321,7 +286,7 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             unstable = True
 
     op = RotationOp(cfg.theta)
-    sums = ExactSums(cfg.steps)
+    sums = ExactSums(cfg.steps, cfg.replicas)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, cfg.replicas, _CHUNK):
             for first, sq in _simulate_chunk(cfg, op, lo, min(lo + _CHUNK, cfg.replicas)):

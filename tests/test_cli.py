@@ -292,6 +292,15 @@ class TestUsageErrors:
         code, _, _ = run_cli(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("schedule", ["invk", "invsqrt", "invlog"])
+    @pytest.mark.parametrize("alpha", ["0.3", "0.5"])
+    def test_alpha_with_a_decaying_schedule_exits_2(self, schedule, alpha, capsys):
+        # a decaying schedule sets its own step sizes; 0.5, the default, too
+        argv = ["simulate", "--theta", "1/4", "--schedule", schedule, "--alpha", alpha, "--steps", "5"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: --alpha applies only to --schedule const, not {schedule}\n")
+
 
 class TestOutputErrors:
     @pytest.mark.parametrize("where", ["missing/x.csv", "."])
@@ -377,13 +386,13 @@ class TestCsvBytes:
         "mc --theta 1/4 --x1 1,3 --replicas 20 --steps 3 --seed 5": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,10,0,10,0\n"
-            "2,7.8929727907921237,0.56221116377396363,9.0355339059327378,0\n"
+            "2,7.8929727907921228,0.56221116377396363,9.0355339059327378,0\n"
             "3,8.0542217676345675,0.76748711330732167,8.2123106012293743,0\n"
         ),
         "mc --theta 1/4 --x1 1,3 --A 0.1 --B 0.6 --replicas 20 --steps 3 --seed 3": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,10,0,,1\n"
-            "2,8.3326559288995519,0.9501280658088791,,1\n"
+            "2,8.3326559288995501,0.9501280658088791,,1\n"
             "3,8.3833392515514209,1.5200914175698323,,1\n"
         ),
         "mc --theta 1/4 --norm linf --x1 1,3 --A 0.5 --replicas 20 --steps 3 --seed 3": (
