@@ -11,6 +11,11 @@ The sweep steps a chunk of starts at a time through the element-wise
 kernel km_step, so memory stays bounded for any grid.  Chunks run in
 increasing t and each keeps its first maximum, so ties go to the smaller t
 and the result is bit-identical for every chunk size.
+
+numpy is imported by the functions that build arrays, not by the module:
+bounds imports search_beta_u for linf_bound, and a simulate or bound run
+whose beta_u comes from the table, or needs none, never builds an array, so
+it starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +24,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import OutOfRangeError
 from .rotation import Angle, RotationOp, Vec2, km_step, tan_pi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Four-decimal reference factors for common angles, reproduced by
 # search_beta_u at the default grid_step of 1e-4.
@@ -101,6 +108,8 @@ def beta_l(theta: Angle) -> float:
 def _edge_max(c: float, s: float, period: int, ts: np.ndarray) -> tuple[float, float]:
     # The largest ||x_{1+T}||_inf over the edge starts [t, 1], t in ts
     # (ascending), and the first t attaining it; the start norm is 1.
+    import numpy as np
+
     x1, x2 = ts, np.ones_like(ts)
     for _ in range(period):
         x1, x2 = km_step(c, s, 0.5, x1, x2, True)
@@ -118,6 +127,8 @@ def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
     terms, grid_step in [MIN_GRID_STEP, MAX_GRID_STEP], and at most
     MAX_SEARCH_STEPS averaged steps over both passes.
     """
+    import numpy as np
+
     if theta.fraction > Fraction(1, 2):
         raise OutOfRangeError(f"contraction search needs theta in (0, pi/2]: got {theta}")
     if not MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP:
@@ -164,6 +175,8 @@ def verify_period_contraction(
     Tolerance is absolute; starts are unit scale and max-norm iterates
     never grow by more than rounding.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError(f"trials must be >= 1: got {trials}")
     period = pseudo_period(theta)

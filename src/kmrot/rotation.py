@@ -10,7 +10,9 @@ arithmetic is double precision.
 
 T is written once, as turn, for plain floats and float64 arrays alike.
 averaged_step builds the averaged step on it for one point, which the Vec2
-functions wrap, and km_step for arrays of points.
+functions wrap, and km_step for arrays of points.  km_step imports numpy
+itself, since it is the only function here that builds arrays: simulate and
+bound step plain floats, so they start without loading numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidAlphaError, NonFiniteError, ZeroVectorError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
@@ -253,6 +257,8 @@ def km_step(
     sign of zero, since no zero is added: t + 0.0 would turn t = -0.0 into
     +0.0.
     """
+    import numpy as np
+
     with np.errstate(invalid="ignore"):
         t1, t2 = turn(c, s, x1, x2, linf, np.maximum)
     origin = (x1 == 0.0) & (x2 == 0.0)

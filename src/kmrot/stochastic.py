@@ -17,6 +17,10 @@ blocks arrive, and memory is O(_CHUNK * _STEPS) plus the per-step totals,
 for any replica or step count.  Each mean is the exact mean rounded once;
 each standard error is the square root of the exact sample variance rounded
 once.
+
+numpy is imported by the functions that build arrays, not by the module:
+kmrot and its CLI import this module's names, and simulate and bound never
+build an array, so they start without loading numpy.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import BoundCurve, noise_bound
 from .errors import NonFiniteError, UnstableError
 from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 2048  # replicas stepped together
 _STEPS = 128  # steps drawn, stepped and summed together
@@ -96,6 +102,8 @@ class McResult:
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
     """The generator feeding replica `replica` of a run seeded with `seed`."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(entropy=[seed, replica]))
 
 
@@ -125,6 +133,8 @@ class ExactSums:
     """
 
     def __init__(self, series: int, n: int) -> None:
+        import numpy as np
+
         self.n = n
         # units of 2^-_UNIT for x and 4^-_UNIT for x^2
         self._sx = [0] * series
@@ -133,6 +143,8 @@ class ExactSums:
 
     def add(self, block: np.ndarray, first: int = 0) -> None:
         """Add samples: block[k] holds new samples of series first + k."""
+        import numpy as np
+
         count = block.shape[1]
         if count == 0:
             return
@@ -149,6 +161,8 @@ class ExactSums:
 
     def _add_rows(self, first: int, block: np.ndarray) -> int:
         """Bin rows block[0 ..] as series first ..; return how many rows that took."""
+        import numpy as np
+
         f, e = np.frexp(block)
         # zeros add nothing; they take the exponent of their row's largest
         # sample, so they do not widen the row
@@ -192,6 +206,8 @@ class ExactSums:
         non-finite sample, naming the first such series k (counted from 1)
         and the count.
         """
+        import numpy as np
+
         bad = np.flatnonzero(self._bad)
         if bad.size:
             k = int(bad[0])
@@ -234,6 +250,8 @@ def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int,
     element-wise, so the per-replica paths do not depend on the chunk or
     block bounds.
     """
+    import numpy as np
+
     steps = cfg.steps
     m = stop - start
     a, b = cfg.noise.a, cfg.noise.b
@@ -276,6 +294,8 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     Euclidean bound's initial-distance check runs before the simulation.  A
     replica whose squared norm overflows or turns nan raises NonFiniteError.
     """
+    import numpy as np
+
     bound: BoundCurve | None = None
     unstable = False
     if cfg.norm_kind is NormKind.L2:

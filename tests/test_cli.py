@@ -1,15 +1,20 @@
 """CLI behavior: CSV output, exit codes, determinism, round-trips."""
 
+import ast
+import inspect
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 
 import pytest
 
+import kmrot
 import kmrot.beta_search as beta_search
 import kmrot.cli as cli
+import kmrot.rotation as rotation
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
@@ -461,3 +466,64 @@ class TestModuleEntry:
         assert first.stdout == second.stdout
         assert first.stdout.decode().splitlines()[0] == "k,x1,x2,norm_value,bound_value"
         assert b"\r" not in first.stdout
+
+
+# Imports kmrot, runs main on each argument line with stdout discarded, and
+# prints whether numpy was loaded after the import and after each command.
+_STARTUP = """
+import contextlib, io, sys
+import kmrot, kmrot.cli
+seen = ["numpy" in sys.modules]
+for line in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = kmrot.cli.main(line.split())
+    seen.append((code, "numpy" in sys.modules))
+print(seen)
+"""
+
+
+def _type_checking_namespace(module) -> dict:
+    """The module's globals plus what its `if TYPE_CHECKING:` block imports."""
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec"), namespace)
+    return namespace
+
+
+class TestStartup:
+    """simulate and bound build no array, so they start and run without numpy."""
+
+    NO_ARRAYS = [
+        "simulate --theta 1/12 --steps 30",
+        "simulate --theta 1/12 --norm linf --steps 30",
+        "bound --theta 1/12 --steps 30",
+        "bound --theta 1/12 --norm linf --steps 30",
+        "simulate --theta 1/6 --schedule invk --steps 30",
+    ]
+
+    @pytest.mark.parametrize("argv", [
+        "search-beta --theta 1/3 --grid-step 1e-3",
+        "mc --theta 1/4 --replicas 5 --steps 3",
+        # pi/8 is not in the table, so linf_bound searches for beta_u
+        "simulate --theta 1/8 --norm linf --steps 30",
+    ])
+    def test_numpy_loads_only_where_an_array_is_built(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kmrot.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _STARTUP, *self.NO_ARRAYS, argv],
+                              capture_output=True, text=True, env=env, check=True)
+        assert ast.literal_eval(proc.stdout) == [False, *[(0, False)] * len(self.NO_ARRAYS), (0, True)]
+
+    @pytest.mark.parametrize("module, name", [
+        (rotation, "turn"),
+        (rotation, "km_step"),
+        (beta_search, "_edge_max"),
+        (stochastic, "replica_rng"),
+        (stochastic, "ExactSums.add"),
+    ])
+    def test_array_annotations_resolve(self, module, name):
+        obj = module
+        for part in name.split("."):
+            obj = getattr(obj, part)
+        hints = typing.get_type_hints(obj, _type_checking_namespace(module))
+        assert any("numpy" in str(hint) for hint in hints.values())
