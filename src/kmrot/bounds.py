@@ -6,7 +6,8 @@ k = i + 1, and values[0] always equals the initial distance (squared, for
 the mean-square noise bound).  Bounds exist only for constant step sizes.
 
 The max-norm bound searches for its per-period factor beta_u with
-kmrot.beta_search unless the caller passes one (the paper's table, say).
+kmrot.beta_search unless the caller passes one (the paper's table, say) or
+the curve ends within the first pseudo-period.
 """
 
 from __future__ import annotations
@@ -62,17 +63,15 @@ def mu(alpha: float, theta: Angle) -> float:
 
 def l2_bound(theta: Angle, alpha: float, d: float, k_max: int) -> BoundCurve:
     """Euclidean bound mu^((k-1)/2) * D; tight (the recursion is exact)."""
-    _check_alpha(alpha)
+    g = mu(alpha, theta)
     _check_k_max(k_max)
     _check_initial(d)
-    g = mu(alpha, theta)
     return BoundCurve(tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1)))
 
 
 def optimal_alpha_l2(theta: Angle) -> tuple[float, float]:
     """Minimizer of the per-step factor and its value: (0.5, (1 + cos(theta)) / 2)."""
-    _, c = sin_cos_pi(theta.fraction)
-    return 0.5, (1.0 + c) / 2.0
+    return 0.5, mu(0.5, theta)
 
 
 def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
@@ -82,7 +81,8 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
     theta = pi:          |1 - 2*alpha| per step, any alpha in (0, 1).
     theta = pi/2:        0.5 per two steps.
     theta in (0, pi/2):  beta_u per pseudo-period T.  When beta_u is not
-                         given, search_beta_u finds it (kmrot.beta_search).
+                         given and k_max > T, search_beta_u finds it
+                         (kmrot.beta_search); no row up to k = T uses it.
     theta in (pi/2, pi): (1 + tan(3*pi/4 - theta)) / 2 per step.
     theta in (pi, 2*pi): evaluated at the mirror angle 2*pi - theta.
     Every range but theta = pi needs alpha = 0.5, checked before any search.
@@ -101,11 +101,13 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
     elif f == _HALF:
         factor, period = 0.5, 2
     elif f < _HALF:
+        period = pseudo_period(folded)
         if beta_u is None:
-            beta_u = search_beta_u(folded).beta_u
+            # rows k <= period take factor^0, so a curve that short needs no search
+            beta_u = search_beta_u(folded).beta_u if k_max > period else 0.5
         if not 0.0 < beta_u < 1.0:
             raise ValueError(f"beta_u must lie in (0, 1): got {beta_u}")
-        factor, period = beta_u, pseudo_period(folded)
+        factor = beta_u
     else:
         factor, period = (1.0 + tan_pi(Fraction(3, 4) - f)) / 2.0, 1
     return BoundCurve(tuple(factor ** ((k - 1) // period) * d for k in range(1, k_max + 1)))

@@ -6,7 +6,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NonFiniteError
+from .errors import InvalidAlphaError, NonFiniteError
 from .rotation import Angle, NormKind, RotationOp, Vec2, averaged_step, norm
 
 
@@ -35,25 +35,9 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind is ScheduleKind.CONSTANT:
             if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError(f"constant schedule needs alpha in (0, 1): got {self.alpha}")
+                raise InvalidAlphaError(f"constant schedule needs alpha in (0, 1): got {self.alpha}")
         elif self.alpha is not None:
             raise ValueError(f"{self.kind.value} schedule takes no alpha")
-
-    @classmethod
-    def constant(cls, alpha: float) -> Schedule:
-        return cls(ScheduleKind.CONSTANT, alpha)
-
-    @classmethod
-    def inv_log(cls) -> Schedule:
-        return cls(ScheduleKind.INV_LOG)
-
-    @classmethod
-    def inv_sqrt(cls) -> Schedule:
-        return cls(ScheduleKind.INV_SQRT)
-
-    @classmethod
-    def inv_k(cls) -> Schedule:
-        return cls(ScheduleKind.INV_K)
 
 
 def step_size(s: Schedule, k: int) -> float:

@@ -13,7 +13,7 @@ class NonFiniteError(KmrotError, ValueError):
     """A coordinate or an initial distance is infinite or nan."""
 
 
-class InvalidAlphaError(KmrotError):
+class InvalidAlphaError(KmrotError, ValueError):
     """Step size outside the open interval (0, 1)."""
 
 

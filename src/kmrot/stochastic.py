@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundCurve, noise_bound
-from .errors import NonFiniteError, UnstableError
+from .errors import InvalidAlphaError, NonFiniteError, UnstableError
 from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ class NoiseParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"noise parameters must be finite: a={self.a}, b={self.b}")
+            raise NonFiniteError(f"noise parameters must be finite: a={self.a}, b={self.b}")
         if self.a < 0.0 or self.b < 0.0:
             raise ValueError(f"noise parameters must be >= 0: a={self.a}, b={self.b}")
 
@@ -77,7 +77,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1): got {self.alpha}")
+            raise InvalidAlphaError(f"alpha must lie in (0, 1): got {self.alpha}")
         if self.replicas < 1 or self.steps < 1:
             raise ValueError(f"replicas and steps must be >= 1: got {self.replicas}, {self.steps}")
         if not 0 <= self.seed < 2**64:
@@ -104,7 +104,7 @@ def replica_rng(seed: int, replica: int) -> np.random.Generator:
     """The generator feeding replica `replica` of a run seeded with `seed`."""
     import numpy as np
 
-    return np.random.default_rng(np.random.SeedSequence(entropy=[seed, replica]))
+    return np.random.default_rng([seed, replica])
 
 
 class ExactSums:
@@ -118,11 +118,12 @@ class ExactSums:
     per (series, exponent) with np.bincount, from each series' smallest
     exponent in that call, and folds the bins at once into exact Python-int
     totals, _LIMB adjacent bins to one int64 limb; the totals are all it
-    keeps between calls.  This is a small superaccumulator
-    (Neal 2015, arXiv:1505.05571); the split of x^2 is error-free, like
-    Dekker's (1971), and exact for subnormals too.  Integer totals make the
-    sums independent of the order of samples and of blocks, and each mean is
-    the exact mean rounded once.
+    keeps between calls.  A zero adds nothing to its bin (exponent 0); a pass
+    holds as many rows as fit in _BLOCK bins, however far a row spans.  This
+    is a small superaccumulator (Neal 2015, arXiv:1505.05571); the split of
+    x^2 is error-free, like Dekker's (1971), and exact for subnormals too.
+    Integer totals make the sums independent of the order of samples and of
+    blocks, and each mean is the exact mean rounded once.
 
     Every series is to receive n samples in all; the moments divide by n.
     Exactness limits: a bin gains less than 2^37 per sample, so one `add`
@@ -164,9 +165,6 @@ class ExactSums:
         import numpy as np
 
         f, e = np.frexp(block)
-        # zeros add nothing; they take the exponent of their row's largest
-        # sample, so they do not widen the row
-        e = np.where(f != 0.0, e, np.frexp(np.abs(block).max(axis=1))[1][:, None])
         lo = e.min(axis=1)
         # bin e - lo of row r, in rows of whole limbs; a piece shifted by s
         # lands s bins higher

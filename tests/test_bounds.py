@@ -13,6 +13,7 @@ from kmrot import (
     NormKind,
     OutOfRangeError,
     Schedule,
+    ScheduleKind,
     UnstableError,
     UnsupportedAlphaError,
     Vec2,
@@ -77,7 +78,7 @@ class TestL2Bound:
 
     def test_matches_trajectory_exactly(self):
         theta, alpha = Angle(1, 6), 0.35
-        traj = run_km(theta, NormKind.L2, Schedule.constant(alpha), Vec2(10.0, 30.0), 120)
+        traj = run_km(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 120)
         curve = l2_bound(theta, alpha, traj.norms[0], 120)
         for got, expected in zip(traj.norms, curve.values):
             assert got == pytest.approx(expected, rel=1e-10)
@@ -190,6 +191,17 @@ class TestLinfBound:
         with pytest.raises(error):
             linf_bound(Angle(1, 5), alpha, d, 5)
 
+    def test_no_search_within_one_pseudo_period(self, monkeypatch):
+        # every row k <= T = 5 is beta_u^0 * D, whatever beta_u is
+        def no_search(*args):
+            raise AssertionError("search_beta_u ran")
+
+        monkeypatch.setattr(kmrot.bounds, "search_beta_u", no_search)
+        assert linf_bound(Angle(1, 5), 0.5, 3.0, 5).values == (3.0,) * 5
+        assert linf_bound(Angle(9, 5), 0.5, 3.0, 1).values == (3.0,)
+        with pytest.raises(ValueError, match="beta_u must lie in"):
+            linf_bound(Angle(1, 5), 0.5, 3.0, 5, beta_u=1.2)
+
     def test_bad_contraction_factor_rejected(self):
         with pytest.raises(ValueError):
             linf_bound(Angle(1, 4), 0.5, 1.0, 5, beta_u=1.2)
@@ -272,7 +284,7 @@ class TestDominanceSmoke:
         rng = random.Random(100 * p + q)
         for _ in range(10):
             x1 = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            traj = run_km(theta, NormKind.LINF, Schedule.constant(0.5), x1, 80)
+            traj = run_km(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 80)
             curve = linf_bound(theta, 0.5, traj.norms[0], 80, beta_u=beta_u)
             for got, cap in zip(traj.norms, curve.values):
                 assert got <= cap + 1e-9

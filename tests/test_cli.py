@@ -20,6 +20,7 @@ from kmrot import (
     Angle,
     NormKind,
     Schedule,
+    ScheduleKind,
     Vec2,
     linf_bound,
     mu,
@@ -107,7 +108,7 @@ class TestSimulate:
         )
         assert code == 0
         _, rows = parse_csv(out)
-        traj = run_km(Angle(1, 12), NormKind.LINF, Schedule.constant(0.5), Vec2(3.0, -7.0), 40)
+        traj = run_km(Angle(1, 12), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(3.0, -7.0), 40)
         curve = linf_bound(Angle(1, 12), 0.5, traj.norms[0], 40, beta_u=0.8974)
         for row, a, b, value, cap in zip(rows, traj.x1, traj.x2, traj.norms, curve.values):
             assert float(row[1]) == a
@@ -154,6 +155,13 @@ class TestBound:
         assert code == 0
         _, rows = parse_csv(out)
         assert [float(r[1]) for r in rows] == [1.0, 0.5, 0.25, 0.125]
+
+    def test_curve_within_one_pseudo_period_needs_no_search(self, capsys):
+        # T = 10^7, and a search for beta_u would take 2.0e11 averaged steps
+        code, out, err = run_cli(["bound", "--theta", "1/10000000", "--norm", "linf", "--steps", "3"], capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows == [["1", "30"], ["2", "30"], ["3", "30"]]
 
 
 class TestSearchBeta:
@@ -500,6 +508,8 @@ class TestStartup:
         "bound --theta 1/12 --steps 30",
         "bound --theta 1/12 --norm linf --steps 30",
         "simulate --theta 1/6 --schedule invk --steps 30",
+        # pi/1000 is not in the table, but no row reaches past T = 1000
+        "bound --theta 1/1000 --norm linf --steps 3",
     ]
 
     @pytest.mark.parametrize("argv", [

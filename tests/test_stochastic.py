@@ -15,12 +15,19 @@ from hypothesis.extra import numpy as hnp
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
+    InvalidAlphaError,
+    KmrotError,
     McConfig,
     NoiseParams,
     NonFiniteError,
     NormKind,
     RotationOp,
+    Schedule,
+    ScheduleKind,
     Vec2,
+    apply_averaged,
+    l2_bound,
+    linf_bound,
     mu,
     replica_rng,
     run_stochastic_km,
@@ -41,7 +48,31 @@ def make_config(**overrides):
     return McConfig(**base)
 
 
+# every entry point that takes a step size, called with alpha = a
+ALPHA_ENTRIES = {
+    "Schedule": lambda a: Schedule(ScheduleKind.CONSTANT, a),
+    "McConfig": lambda a: make_config(alpha=a),
+    "apply_averaged": lambda a: apply_averaged(RotationOp(Angle(1, 4)), NormKind.L2, a, Vec2(1.0, 1.0)),
+    "mu": lambda a: mu(a, Angle(1, 4)),
+    "l2_bound": lambda a: l2_bound(Angle(1, 4), a, 1.0, 3),
+    "linf_bound": lambda a: linf_bound(Angle(1, 4), a, 1.0, 3),
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, math.nan])
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRIES))
+    def test_bad_alpha_is_one_error_type(self, entry, alpha):
+        with pytest.raises(InvalidAlphaError, match="alpha in|alpha must lie in") as info:
+            ALPHA_ENTRIES[entry](alpha)
+        assert isinstance(info.value, KmrotError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_noise_is_one_error_type(self, a, b):
+        with pytest.raises(NonFiniteError, match="noise parameters must be finite") as info:
+            NoiseParams(a, b)
+        assert isinstance(info.value, KmrotError) and isinstance(info.value, ValueError)
+
     def test_noise_params(self):
         NoiseParams(0.0, 0.0)  # degenerate noiseless case is allowed
         with pytest.raises(ValueError):
@@ -406,8 +437,9 @@ class TestExactSums:
         check_exact(sums, rows)
 
     def test_zeros_do_not_widen_a_row(self):
-        # a zero's frexp exponent is 0; counted as such, each row here would
-        # span about 1000 bins, and one pass over 8192 rows about 65 MiB
+        # a zero's frexp exponent is 0, so each row here spans about 1000
+        # bins; one pass over all 8192 rows would take about 65 MiB, and
+        # halving the pass until it holds at most _BLOCK bins keeps it small
         x = np.tile([1e-300, 0.0], (8192, 1))
         tracemalloc.start()
         try:
