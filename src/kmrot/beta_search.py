@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import OutOfRangeError
-from .rotation import Angle, RotationOp, Vec2, km_step, tan_pi
+from .rotation import Angle, Vec2, km_step, sin_cos_pi, tan_pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -129,19 +129,16 @@ def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
     """
     import numpy as np
 
-    if theta.fraction > Fraction(1, 2):
-        raise OutOfRangeError(f"contraction search needs theta in (0, pi/2]: got {theta}")
+    period = pseudo_period(theta)
     if not MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP:
         raise ValueError(f"grid_step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]: got {grid_step}")
 
-    period = pseudo_period(theta)
     n = round(2.0 / grid_step)
     work = period * (n + 1 + 2 * _REFINE_FACTOR + 1)
     if work > MAX_SEARCH_STEPS:
         raise OutOfRangeError(f"contraction search at theta = {theta} with grid_step {grid_step:g} needs "
                               f"{work} averaged steps, above the limit of {MAX_SEARCH_STEPS}")
-    op = RotationOp(theta)
-    c, s = op.cos_theta, op.sin_theta
+    s, c = sin_cos_pi(theta.fraction)
 
     best, best_t = -1.0, 0.0
     for lo in range(0, n + 1, _CHUNK):
@@ -181,8 +178,7 @@ def verify_period_contraction(
         raise ValueError(f"trials must be >= 1: got {trials}")
     period = pseudo_period(theta)
     lower = beta_l(theta)
-    op = RotationOp(theta)
-    c, s = op.cos_theta, op.sin_theta
+    s, c = sin_cos_pi(theta.fraction)
     rng = random.Random(seed)
 
     upper_violations = 0

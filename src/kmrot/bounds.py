@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beta_search import pseudo_period, search_beta_u
-from .errors import InvalidAlphaError, NonFiniteError, UnstableError, UnsupportedAlphaError
+from .errors import NonFiniteError, UnstableError, UnsupportedAlphaError, check_alpha
 from .rotation import Angle, sin_cos_pi, tan_pi
 
 _HALF = Fraction(1, 2)
@@ -28,11 +28,6 @@ class BoundCurve:
     """Upper-bound values per iterate; values[0] is D = dist(x_1, 0), or D^2 for noise_bound."""
 
     values: tuple[float, ...]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1): got {alpha}")
 
 
 def _check_k_max(k_max: int) -> None:
@@ -55,7 +50,7 @@ def mu(alpha: float, theta: Angle) -> float:
     >= 0, so nothing cancels near theta = pi.  Strictly below 1 for theta in
     (0, 2*pi).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _, c = sin_cos_pi(theta.fraction)
     u = 1.0 - 2.0 * alpha
     return u * u + 2.0 * alpha * (1.0 - alpha) * (1.0 + c)
@@ -87,7 +82,7 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
     theta in (pi, 2*pi): evaluated at the mirror angle 2*pi - theta.
     Every range but theta = pi needs alpha = 0.5, checked before any search.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _check_k_max(k_max)
     _check_initial(d)
     folded = theta.folded()

@@ -6,8 +6,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidAlphaError, NonFiniteError
-from .rotation import Angle, NormKind, RotationOp, Vec2, averaged_step, norm
+from .errors import NonFiniteError, check_alpha
+from .rotation import Angle, NormKind, Vec2, averaged_step, norm, sin_cos_pi
 
 
 CLIP_MAX = 0.99
@@ -34,8 +34,7 @@ class Schedule:
 
     def __post_init__(self) -> None:
         if self.kind is ScheduleKind.CONSTANT:
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise InvalidAlphaError(f"constant schedule needs alpha in (0, 1): got {self.alpha}")
+            check_alpha(self.alpha)
         elif self.alpha is not None:
             raise ValueError(f"{self.kind.value} schedule takes no alpha")
 
@@ -75,15 +74,15 @@ def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2, step
     an exact per-step factor.  Raises NonFiniteError when the initial norm
     overflows, before any step, or, from one check of the columns after
     the steps, at the first iterate with a non-finite coordinate (the
-    max-norm rescaling can overflow).
+    rotation overflows within a factor sqrt(2) of the largest double).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1: got {steps}")
     d = norm(x1, norm_kind)
     if not math.isfinite(d):
         raise NonFiniteError(f"initial norm must be finite: got {d}")
-    op = RotationOp(theta)
-    c, s, linf = op.cos_theta, op.sin_theta, norm_kind is NormKind.LINF
+    s, c = sin_cos_pi(theta.fraction)
+    linf = norm_kind is NormKind.LINF
     y1, y2 = x1.x1, x1.x2
     xs1, xs2 = [y1], [y2]
     for k in range(1, steps):

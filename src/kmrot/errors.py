@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one step-size check."""
 
 
 class KmrotError(Exception):
@@ -15,6 +15,12 @@ class NonFiniteError(KmrotError, ValueError):
 
 class InvalidAlphaError(KmrotError, ValueError):
     """Step size outside the open interval (0, 1)."""
+
+
+def check_alpha(alpha: float | None) -> None:
+    """Raise InvalidAlphaError unless 0 < alpha < 1; None and nan fail too."""
+    if alpha is None or not 0.0 < alpha < 1.0:
+        raise InvalidAlphaError(f"alpha must lie in (0, 1): got {alpha}")
 
 
 class OutOfRangeError(KmrotError):

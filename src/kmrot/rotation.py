@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import InvalidAlphaError, NonFiniteError, ZeroVectorError
+from .errors import NonFiniteError, ZeroVectorError, check_alpha
 
 if TYPE_CHECKING:
     import numpy as np
@@ -165,16 +165,17 @@ def turn(c: float, s: float, x1: float | np.ndarray, x2: float | np.ndarray, lin
     """T(x): the rotation [[c, -s], [s, c]] of (x1, x2), rescaled when `linf` is set.
 
     Written once for floats and, with maximum=np.maximum, for float64
-    arrays, element-wise.  The rescaled image is (||x||_inf * Rx) /
-    ||Rx||_inf, undefined at the origin (0/0); its extremal component can
+    arrays, element-wise.  The rescaled image is g * Rx, where g =
+    ||x||_inf / ||Rx||_inf is gamma, in [sqrt(2)/2, sqrt(2)]: it stays at
+    the scale of x, and T(2^e x) = 2^e T(x) bit for bit wherever every value
+    is normal.  Undefined at the origin (0/0); its extremal component can
     land 1 ulp above ||x||_inf.
     """
     t1 = c * x1 - s * x2
     t2 = s * x1 + c * x2
     if linf:
-        m = maximum(abs(x1), abs(x2))
-        mr = maximum(abs(t1), abs(t2))
-        t1, t2 = (m * t1) / mr, (m * t2) / mr
+        g = maximum(abs(x1), abs(x2)) / maximum(abs(t1), abs(t2))
+        t1, t2 = t1 * g, t2 * g
     return t1, t2
 
 
@@ -232,8 +233,7 @@ def apply_averaged(op: RotationOp, kind: NormKind, alpha: float, x: Vec2) -> Vec
     rescaling factor is identically 1) and the rescaled rotation under the
     max norm.  The origin is an absorbing fixed point in both cases.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlphaError(f"alpha must lie in (0, 1): got {alpha}")
+    check_alpha(alpha)
     return Vec2(*averaged_step(op.cos_theta, op.sin_theta, alpha, x.x1, x.x2, kind is NormKind.LINF))
 
 

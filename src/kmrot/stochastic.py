@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundCurve, noise_bound
-from .errors import InvalidAlphaError, NonFiniteError, UnstableError
-from .rotation import Angle, NormKind, RotationOp, Vec2, km_step
+from .errors import NonFiniteError, UnstableError, check_alpha
+from .rotation import Angle, NormKind, Vec2, km_step, sin_cos_pi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,8 +76,7 @@ class McConfig:
     norm_kind: NormKind = NormKind.L2
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidAlphaError(f"alpha must lie in (0, 1): got {self.alpha}")
+        check_alpha(self.alpha)
         if self.replicas < 1 or self.steps < 1:
             raise ValueError(f"replicas and steps must be >= 1: got {self.replicas}, {self.steps}")
         if not 0 <= self.seed < 2**64:
@@ -237,22 +236,23 @@ def _sqrt_ratio(p: int, q: int) -> float:
     return math.ldexp(math.sqrt(r), h)
 
 
-def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int,
-                    stop: int) -> Iterator[tuple[int, np.ndarray]]:
+def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
     """Squared norms of replicas start .. stop-1, _STEPS steps at a time.
 
     Yields (first, sq), where sq[j] holds step first + j of each replica.
-    The replicas' generators live across blocks, and each block draws every
-    replica's normals into its own row; a stream drawn in pieces gives the
-    same numbers as one draw.  Vectorized over the replicas; km_step is
-    element-wise, so the per-replica paths do not depend on the chunk or
-    block bounds.
+    The replicas' generators live across blocks; each block draws one
+    normal pair per replica and step into the replica's own row, and steps
+    after every record, so the step after the run's last record is computed
+    and dropped.  A stream drawn in pieces gives the same numbers as one
+    draw.  Vectorized over the replicas; km_step is element-wise, so the
+    per-replica paths do not depend on the chunk or block bounds.
     """
     import numpy as np
 
     steps = cfg.steps
     m = stop - start
     a, b = cfg.noise.a, cfg.noise.b
+    s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
 
     rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)]
@@ -261,9 +261,8 @@ def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int,
     x2 = np.full(m, cfg.x1.x2)
     for first in range(0, steps, _STEPS):
         block = min(_STEPS, steps - first)
-        draws = min(block, steps - 1 - first)  # the run's last step draws nothing
         for g, row in zip(rngs, z):
-            g.standard_normal(out=row[:draws])
+            g.standard_normal(out=row[:block])
         sq = np.empty((block, m))
         for j in range(block):
             sq_l2 = x1 * x1 + x2 * x2
@@ -272,11 +271,8 @@ def _simulate_chunk(cfg: McConfig, op: RotationOp, start: int,
                 sq[j] = mx * mx
             else:
                 sq[j] = sq_l2
-            if j == draws:
-                break
             scale = np.sqrt((a + b * sq_l2) * 0.5)
-            x1, x2 = km_step(op.cos_theta, op.sin_theta, cfg.alpha, x1, x2, linf,
-                             scale * z[:, j, 0], scale * z[:, j, 1])
+            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf, scale * z[:, j, 0], scale * z[:, j, 1])
         yield first, sq
 
 
@@ -303,11 +299,10 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
         except UnstableError:
             unstable = True
 
-    op = RotationOp(cfg.theta)
     sums = ExactSums(cfg.steps, cfg.replicas)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, cfg.replicas, _CHUNK):
-            for first, sq in _simulate_chunk(cfg, op, lo, min(lo + _CHUNK, cfg.replicas)):
+            for first, sq in _simulate_chunk(cfg, lo, min(lo + _CHUNK, cfg.replicas)):
                 sums.add(sq, first)
     mean, serr = sums.moments()
     return McResult(mean, serr, bound, unstable)

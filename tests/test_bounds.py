@@ -271,6 +271,13 @@ def test_non_finite_initial_distance_rejected(d):
         noise_bound(Angle(1, 6), 0.5, d, 1.0, 0.0, 3)
 
 
+def test_empty_curve_rejected():
+    for bound in (lambda: l2_bound(Angle(1, 6), 0.5, 1.0, 0), lambda: linf_bound(Angle(1, 6), 0.5, 1.0, 0),
+                  lambda: noise_bound(Angle(1, 6), 0.5, 1.0, 1.0, 0.0, 0)):
+        with pytest.raises(ValueError, match=r"^k_max must be >= 1: got 0$"):
+            bound()
+
+
 def test_noise_bound_whose_tail_overflows_rejected():
     # a * alpha^2 / (1 - rho) overflows, and inf * (1 - 1) is nan at k = 1
     with pytest.raises(NonFiniteError, match=r"^noise bound not finite at k = 1: [^\n]*$"):

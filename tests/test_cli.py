@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -305,6 +306,15 @@ class TestUsageErrors:
         code, _, _ = run_cli(argv, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--theta", "1/4", "--steps", "abc"], "argument --steps: not an integer: 'abc'"),
+        (["mc", "--theta", "1/4", "--A", "x"], "argument --A: not a number: 'x'"),
+    ])
+    def test_unparsable_number_exits_2(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {message}\n")
+
     @pytest.mark.parametrize("schedule", ["invk", "invsqrt", "invlog"])
     @pytest.mark.parametrize("alpha", ["0.3", "0.5"])
     def test_alpha_with_a_decaying_schedule_exits_2(self, schedule, alpha, capsys):
@@ -332,6 +342,15 @@ class TestOutputErrors:
             err = proc.stderr.read()
         assert (proc.returncode, err) == (1, b"")
 
+    def test_closed_stdout_in_process(self, capsys, monkeypatch):
+        # the test above in this process, where a line trace sees the branch
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = cli.main(["simulate", "--theta", "1/6", "--steps", "2000"])
+        assert (code, capsys.readouterr().err) == (1, "")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_exits_2_with_one_line(self):
         argv = [sys.executable, "-m", "kmrot", "simulate", "--theta", "1/6", "--steps", "2"]
@@ -345,7 +364,7 @@ class TestNonFiniteState:
     @pytest.mark.parametrize(
         "argv",
         [
-            "simulate --theta 1/6 --norm linf --x1 1e155,1e155 --steps 3",
+            "simulate --theta 1/6 --norm linf --x1 1.5e308,1.5e308 --steps 3",
             "simulate --theta 1/6 --norm l2 --x1 1.5e308,-1.5e308 --steps 3",
             "bound --theta 1/6 --norm l2 --x1 1.5e308,1.5e308 --steps 3",
             "simulate --theta 1/1 --schedule invk --x1 1.5e308,1.5e308 --steps 2",
@@ -371,8 +390,8 @@ class TestCsvBytes:
             "k,x1,x2,norm_value,bound_value\n"
             "1,3,-7,7,7\n"
             "2,5,-6.1184688152946407,6.1184688152946407,7\n"
-            "3,5.5592344076473204,-4.2179313570966643,5.5592344076473204,7\n"
-            "4,5.5592344076473204,-2.4595465789037436,5.5592344076473204,7\n"
+            "3,5.5592344076473204,-4.2179313570966634,5.5592344076473204,7\n"
+            "4,5.5592344076473204,-2.4595465789037427,5.5592344076473204,7\n"
         ),
         "simulate --theta 1/4 --schedule invsqrt --steps 3": (
             "k,x1,x2,norm_value,bound_value\n"
@@ -412,7 +431,7 @@ class TestCsvBytes:
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,9,0,,\n"
             "2,8.4991511820667913,0.30329063015466168,,\n"
-            "3,6.8026861508216623,0.53252120384805357,,\n"
+            "3,6.8026861508216623,0.53252120384805368,,\n"
         ),
         "mc --theta 1/6 --x1=-0,-0 --replicas 4 --steps 2": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
@@ -430,6 +449,25 @@ class TestCsvBytes:
         path = tmp_path / "out.csv"
         assert run_cli(argv.split() + ["--out", str(path)], capsys) == (0, "", "")
         assert path.read_bytes() == self.CASES[argv].encode()
+
+
+def _same_bytes_lines() -> list[str]:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_bytes.txt")
+    with open(path, encoding="utf-8") as handle:
+        return [line.strip() for line in handle if line.strip() and not line.startswith("#")]
+
+
+class TestSameBytesPins:
+    """Each command line of tools/same_bytes.txt gets past argparse.
+
+    A mistyped line exits 2 the same way under both checkouts, so it would
+    read SAME and test nothing.
+    """
+
+    @pytest.mark.parametrize("line", _same_bytes_lines())
+    def test_line_parses(self, line):
+        argv = shlex.split(line)
+        assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 class TestTracedNames:

@@ -115,9 +115,18 @@ class TestRunKm:
         assert [_bits(v) for v in traj.norms] == [_bits(norm(p, kind)) for p in expected]
 
     def test_later_non_finite_iterate_names_its_coordinates(self):
-        # m * t overflows in the max-norm rescaling at this scale
-        with pytest.raises(NonFiniteError, match=r"^coordinates must be finite: \(inf, inf\)$"):
-            run_km(Angle(1, 6), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1e155, 1e155), 3)
+        # Rx itself overflows: s * x1 + c * x2 is inf, so g = 0 and inf * g is nan
+        with pytest.raises(NonFiniteError, match=r"^coordinates must be finite: \(7\.5e\+307, nan\)$"):
+            run_km(Angle(1, 6), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.5e308, 1.5e308), 3)
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    def test_scaled_start_gives_the_scaled_trajectory(self, kind):
+        # 2^600 scales the start to about 4e180, past where ||x||_inf^2 overflows
+        schedule = Schedule(ScheduleKind.CONSTANT, 0.5)
+        traj = run_km(Angle(1, 6), kind, schedule, Vec2(3.0, -7.0), 40)
+        big = run_km(Angle(1, 6), kind, schedule, Vec2(math.ldexp(3.0, 600), math.ldexp(-7.0, 600)), 40)
+        for col, big_col in zip((traj.x1, traj.x2, traj.norms), (big.x1, big.x2, big.norms)):
+            assert [_bits(v) for v in big_col] == [_bits(math.ldexp(v, 600)) for v in col]
 
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):

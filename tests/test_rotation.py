@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from kmrot import (
@@ -27,7 +27,7 @@ from kmrot import (
     sin_cos_pi,
 )
 from kmrot.bounds import mu
-from kmrot.rotation import km_step, turn
+from kmrot.rotation import averaged_step, km_step, turn
 
 angles = st.integers(1, 64).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Angle(p, q)))
 coords = st.floats(min_value=-1e6, max_value=1e6)
@@ -368,3 +368,40 @@ class TestKmStep:
         w1, w2 = np.array([0.5, -0.0]), np.array([-2.0, 0.0])
         y1, y2 = km_step(op.cos_theta, op.sin_theta, 0.25, zero, zero, kind is NormKind.LINF, w1, w2)
         assert y1.tolist() == [0.125, 0.0] and y2.tolist() == [-0.5, 0.0]
+
+
+class TestScaleFree:
+    """T and the averaged step commute with scaling by 2^e, bit for bit.
+
+    Rounding is scale-free wherever no product, sum or ratio leaves the
+    normal range, which numpy reports as an underflow or overflow of
+    km_step under np.errstate(all="raise"); the scalar averaged_step takes
+    the same operations.
+    """
+
+    @given(angles, alphas, st.sampled_from(NormKind), normal_coords, normal_coords, st.integers(-1000, 1000))
+    def test_step_is_homogeneous(self, a, alpha, kind, x1, x2, e):
+        assume(x1 != 0.0 or x2 != 0.0)
+        s, c = sin_cos_pi(a.fraction)
+        linf = kind is NormKind.LINF
+        scale = 2.0**e
+        try:
+            with np.errstate(all="raise"):
+                xs1, xs2 = np.array([x1, x1 * scale]), np.array([x2, x2 * scale])
+                y1, y2 = km_step(c, s, alpha, xs1, xs2, linf)
+                want = y1[0] * scale, y2[0] * scale
+        except FloatingPointError:
+            assume(False)  # a value left the normal range
+        assert (_bits(y1[1]), _bits(y2[1])) == tuple(map(_bits, want))
+        got = averaged_step(c, s, alpha, x1 * scale, x2 * scale, linf)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, want))
+
+    @pytest.mark.parametrize("e", [515, 997, -565, -1000])  # about 1e155, 1e300, 1e-170 and 1e-301
+    @pytest.mark.parametrize("p, q", [(1, 6), (1, 12), (2, 3), (5, 3)])
+    def test_max_norm_step_at_the_ends_of_the_range(self, p, q, e):
+        # the rescale multiplies by g in [sqrt(2)/2, sqrt(2)], so no product
+        # leaves the range where the start and its image are normal
+        s, c = sin_cos_pi(Fraction(p, q))
+        y1, y2 = averaged_step(c, s, 0.5, 1.0, -0.75, True)
+        got = averaged_step(c, s, 0.5, math.ldexp(1.0, e), math.ldexp(-0.75, e), True)
+        assert tuple(map(_bits, got)) == (_bits(math.ldexp(y1, e)), _bits(math.ldexp(y2, e)))

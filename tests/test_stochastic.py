@@ -140,7 +140,8 @@ class TestRunStochastic:
 
     def test_step_block_does_not_change_result(self, monkeypatch):
         # a horizon one step past a whole number of blocks ends in a block
-        # of one step, which draws no noise: 65 steps at 64, 129 at 128
+        # of one step, whose noise and step after the record are dropped:
+        # 65 steps at 64, 129 at 128
         configs = [make_config(replicas=30, steps=steps, norm_kind=kind)
                    for steps in (1, 2, 64, 65, 129) for kind in NormKind]
         baselines = [run_stochastic_km(cfg) for cfg in configs]
@@ -236,7 +237,7 @@ class TestRunStochastic:
         cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e153, 1e153), replicas=100, steps=2)
         res = run_stochastic_km(cfg)
         sq = np.concatenate([block for _, block in
-                             stochastic._simulate_chunk(cfg, RotationOp(cfg.theta), 0, cfg.replicas)])
+                             stochastic._simulate_chunk(cfg, 0, cfg.replicas)])
         with pytest.raises(OverflowError):
             math.fsum(sq[0].tolist())
         for k in range(cfg.steps):
