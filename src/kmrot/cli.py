@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--out", default=None, metavar="PATH")
     search.set_defaults(handler=_cmd_search_beta)
 
-    mc = sub.add_parser("mc", help="Monte Carlo runs of the noisy iteration")
+    mc = sub.add_parser("mc", help="Monte Carlo runs of the noisy iteration, in up to one process per "
+                        "available CPU; the output does not depend on how many")
     add_common(mc)
     mc.add_argument("--A", type=_nonneg_arg, default=2.0, help="additive noise second moment")
     mc.add_argument("--B", type=_nonneg_arg, default=0.0,

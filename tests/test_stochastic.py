@@ -1,7 +1,9 @@
 """Noise model and the Monte Carlo harness: moments, determinism, bounds."""
 
 import math
+import os
 import sys
+import time
 from collections import Counter
 import tracemalloc
 from fractions import Fraction
@@ -256,8 +258,10 @@ class TestRunStochastic:
         for means in many:
             assert means == one
 
-    def test_memory_does_not_grow_with_replicas(self):
-        # the whole replicas x steps matrix would take 25 MiB
+    def test_memory_does_not_grow_with_replicas(self, monkeypatch):
+        # the whole replicas x steps matrix would take 25 MiB; one process,
+        # since tracemalloc sees only the allocations of this one
+        monkeypatch.setattr(stochastic, "_workers", lambda chunks: 1)
         replicas, steps = 16384, 200
         cfg = make_config(replicas=replicas, steps=steps, noise=NoiseParams(2.0, 0.1))
         tracemalloc.start()
@@ -268,9 +272,10 @@ class TestRunStochastic:
             tracemalloc.stop()
         assert peak < replicas * steps * 8 / 2
 
-    def test_memory_does_not_grow_with_steps(self):
+    def test_memory_does_not_grow_with_steps(self, monkeypatch):
         # one chunk's noise and squared norms for the whole horizon would
-        # take about 70 MiB
+        # take about 70 MiB; one process, as above
+        monkeypatch.setattr(stochastic, "_workers", lambda chunks: 1)
         cfg = make_config(replicas=2048, steps=1500, noise=NoiseParams(2.0, 0.0))
         tracemalloc.start()
         try:
@@ -292,6 +297,115 @@ class TestRunStochastic:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+
+def assert_no_child_left():
+    """No child process of this one is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(stochastic, "_workers", lambda chunks: workers)
+
+
+class TestWorkers:
+    # 30 replicas in chunks of 7: five chunks, shared out over up to three
+    # processes
+    CONFIGS = {
+        "l2": dict(noise=NoiseParams(2.0, 0.1)),
+        "linf": dict(norm_kind=NormKind.LINF),
+        "noiseless": dict(noise=NoiseParams(0.0, 0.0)),
+        "unstable": dict(noise=NoiseParams(2.0, 0.6)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch, name):
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        cfg = make_config(replicas=30, **self.CONFIGS[name])
+        results = []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            results.append(run_stochastic_km(cfg))
+            assert_no_child_left()
+        assert results[0].unstable == (name == "unstable")
+        assert (results[0].bound is None) == (name in ("linf", "unstable"))
+        # repr tells -0.0 from 0.0 and prints each float exactly
+        assert len({repr(res) for res in results}) == 1
+
+    def test_non_finite_counts_add_up_over_the_workers(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        cfg = make_config(x1=Vec2(1e200, 1e200), norm_kind=NormKind.LINF, replicas=30, steps=2)
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            with pytest.raises(NonFiniteError, match=r"^squared norm not finite at k = 1: 30 of 30 replicas$"):
+                run_stochastic_km(cfg)
+            assert_no_child_left()
+
+    def test_failed_parent_share_kills_and_reaps_the_children(self, monkeypatch):
+        # each child would sleep for a minute; the run ends well before
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def chunk(cfg, start, stop):
+            if os.getpid() == parent:
+                raise ValueError("the parent's share failed")
+            time.sleep(60)
+            return iter(())
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="the parent's share failed"):
+            run_stochastic_km(make_config(replicas=30))
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
+
+    def test_child_that_sends_nothing_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 3)
+        parent, real = os.getpid(), stochastic._simulate_chunk
+
+        def chunk(cfg, start, stop):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(cfg, start, stop)
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        with pytest.raises(RuntimeError, match="ended without sending its totals"):
+            run_stochastic_km(make_config(replicas=30))
+        assert_no_child_left()
+
+    def test_child_error_prints_its_traceback(self, monkeypatch, capfd):
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 2)
+        parent, real = os.getpid(), stochastic._simulate_chunk
+
+        def chunk(cfg, start, stop):
+            if os.getpid() != parent:
+                raise ValueError("a child's share failed")
+            return real(cfg, start, stop)
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        with pytest.raises(RuntimeError, match="ended without sending its totals"):
+            run_stochastic_km(make_config(replicas=30))
+        assert_no_child_left()
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "ValueError: a child's share failed" in err
+
+    def test_worker_count_rule(self, monkeypatch):
+        # the helper alone: no process starts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert [stochastic._workers(n) for n in (1, 2, 63, 64, 65, 10_000)] == [1, 2, 63, 64, 64, 64]
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert stochastic._workers(10) == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert stochastic._workers(10) == 1
+
+    def test_default_run_leaves_no_process(self):
+        # 4097 replicas are three chunks: forked wherever there are two CPUs
+        run_stochastic_km(make_config(replicas=4097, steps=3))
+        assert_no_child_left()
 
 def exact_sums(samples, splits=()):
     """ExactSums of a (series, n) array, added in column blocks cut at `splits`."""
@@ -385,6 +499,20 @@ class TestExactSums:
         whole = stochastic.ExactSums(*x.shape)
         whole.add(x)
         assert outcome(sliced) == outcome(whole)
+
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(2, 200)), elements=st.floats()),
+        st.data(),
+    )
+    def test_merged_parts_match_one_add(self, x, data):
+        cut = data.draw(st.integers(1, x.shape[1] - 1))
+        head, tail = (stochastic.ExactSums(*x.shape) for _ in range(2))
+        head.add(x[:, :cut])
+        tail.add(x[:, cut:])
+        head.merge(tail)
+        whole = exact_sums(x)
+        assert (head._sx, head._sxx, head._bad.tolist()) == (whole._sx, whole._sxx, whole._bad.tolist())
+        assert outcome(head) == outcome(whole)
 
     def test_non_finite_sample_in_a_slice_names_its_series(self):
         x = np.ones((6, 4))
