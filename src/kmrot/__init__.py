@@ -23,7 +23,7 @@ from .bounds import (
     noise_bound,
     optimal_alpha_l2,
 )
-from .engine import Schedule, ScheduleKind, Trajectory, run_km, step_size
+from .engine import Schedule, ScheduleKind, run_km, step_size
 from .errors import (
     InvalidAlphaError,
     KmrotError,
@@ -73,7 +73,6 @@ __all__ = [
     "RotationOp",
     "Schedule",
     "ScheduleKind",
-    "Trajectory",
     "UnstableError",
     "UnsupportedAlphaError",
     "Vec2",

@@ -1,9 +1,10 @@
 """Closed-form per-iteration upper bounds for the averaged rotation iteration.
 
-Every evaluator returns a BoundCurve aligned index-for-index with a
-Trajectory: values[i] bounds the distance to the fixed point at iterate
-k = i + 1, and values[0] always equals the initial distance (squared, for
-the mean-square noise bound).  Bounds exist only for constant step sizes.
+Every evaluator returns a BoundCurve aligned index-for-index with the
+iterates of run_km: values[i] bounds the distance to the fixed point at
+iterate k = i + 1, and values[0] always equals the initial distance
+(squared, for the mean-square noise bound).  The l2 and max-norm values
+are computed when read.  Bounds exist only for constant step sizes.
 
 The max-norm bound searches for its per-period factor beta_u with
 kmrot.beta_search unless the caller passes one (the paper's table, say) or
@@ -13,6 +14,7 @@ the curve ends within the first pseudo-period.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,11 +25,28 @@ from .rotation import Angle, sin_cos_pi, tan_pi
 _HALF = Fraction(1, 2)
 
 
+class _Curve(Sequence):
+    """value(k) for k in `ks` as a read-only sequence, each evaluated when read; a slice is a _Curve."""
+
+    def __init__(self, value: Callable[[int], float], ks: range) -> None:
+        self._value, self._ks = value, ks
+
+    def __len__(self) -> int:
+        return len(self._ks)
+
+    def __getitem__(self, i):
+        ks = self._ks[i]
+        return _Curve(self._value, ks) if isinstance(i, slice) else self._value(ks)
+
+    def __iter__(self) -> Iterator[float]:
+        return map(self._value, self._ks)
+
+
 @dataclass(frozen=True)
 class BoundCurve:
     """Upper-bound values per iterate; values[0] is D = dist(x_1, 0), or D^2 for noise_bound."""
 
-    values: tuple[float, ...]
+    values: Sequence[float]
 
 
 def _check_k_max(k_max: int) -> None:
@@ -61,7 +80,7 @@ def l2_bound(theta: Angle, alpha: float, d: float, k_max: int) -> BoundCurve:
     g = mu(alpha, theta)
     _check_k_max(k_max)
     _check_initial(d)
-    return BoundCurve(tuple(g ** ((k - 1) / 2) * d for k in range(1, k_max + 1)))
+    return BoundCurve(_Curve(lambda k: g ** ((k - 1) / 2) * d, range(1, k_max + 1)))
 
 
 def optimal_alpha_l2(theta: Angle) -> tuple[float, float]:
@@ -105,7 +124,7 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
         factor = beta_u
     else:
         factor, period = (1.0 + tan_pi(Fraction(3, 4) - f)) / 2.0, 1
-    return BoundCurve(tuple(factor ** ((k - 1) // period) * d for k in range(1, k_max + 1)))
+    return BoundCurve(_Curve(lambda k: factor ** ((k - 1) // period) * d, range(1, k_max + 1)))
 
 
 def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_max: int) -> BoundCurve:

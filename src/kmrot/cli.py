@@ -3,10 +3,12 @@
 Angles are accepted only as rational multiples of pi ("p/q"), never as raw
 radians, so special angles and pseudo-periods stay exact.  Every command
 emits a CSV table (UTF-8, comma separated, LF line endings) with reals at
-17 significant digits, which round-trip to the exact double.  Exit codes:
-0 success, 1 the reader closed stdout before the table was written, 2
-usage or config parse error or unwritable output, 3 domain precondition
-violated.
+17 significant digits, which round-trip to the exact double, computed as
+they are written, ROWS_PER_WRITE rows per write call.  Exit codes: 0
+success, 1 the reader closed stdout before the table was written, 2 usage
+or config parse error or unwritable output, 3 domain precondition violated
+or a non-finite state.  An error within the first block of rows leaves no
+output; a later one leaves the header and the whole blocks before it.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable
-from itertools import count
+from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
+from itertools import chain, count, islice
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
 from .bounds import l2_bound, linf_bound
@@ -29,6 +32,8 @@ EXIT_OK = 0
 EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+ROWS_PER_WRITE = 1024  # CSV rows joined into one write call
 
 
 def _angle_arg(text: str) -> Angle:
@@ -75,7 +80,7 @@ _grid_step_arg = _number_arg(float, MIN_GRID_STEP, MAX_GRID_STEP,
                              f"grid step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]")
 
 
-def _bound_values(args: argparse.Namespace, d: float, steps: int) -> tuple[float, ...]:
+def _bound_values(args: argparse.Namespace, d: float, steps: int) -> Sequence[float]:
     """Bound curve for a constant-step configuration.
 
     Under --beta-table builtin the paper's beta_u is passed where the table
@@ -97,12 +102,16 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     if kind is ScheduleKind.CONSTANT and args.alpha is None:
         args.alpha = 0.5
     schedule = Schedule(kind, args.alpha)
-    traj = run_km(args.theta, NormKind(args.norm), schedule, args.x1, args.steps)
+    norm_kind = NormKind(args.norm)
+    iterates = run_km(args.theta, norm_kind, schedule, args.x1, args.steps)
     header = "k,x1,x2,norm_value,bound_value\n"
     if kind is not ScheduleKind.CONSTANT:
-        return header, _rows("%d,%.17g,%.17g,%.17g,\n", traj.x1, traj.x2, traj.norms)
-    bound = _bound_values(args, traj.norms[0], args.steps)
-    return header, _rows("%d,%.17g,%.17g,%.17g,%.17g\n", traj.x1, traj.x2, traj.norms, bound)
+        return header, ("%d,%.17g,%.17g,%.17g,\n" % (k, x1, x2, n) for k, (x1, x2, n) in zip(count(1), iterates))
+    # a non-finite iterate in the first block is reported before an error of the bound
+    head = list(islice(iterates, ROWS_PER_WRITE))
+    bound = _bound_values(args, norm(args.x1, norm_kind), args.steps)
+    return header, ("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, x1, x2, n, b)
+                    for k, (x1, x2, n), b in zip(count(1), chain(head, iterates), bound))
 
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
@@ -194,16 +203,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(header: str, rows: Iterable[str], out: str | None) -> int:
-    """Write the table to `out` (stdout when None), formatting lazy rows as written; return the exit code."""
+    """Write the table to `out` (stdout when None), ROWS_PER_WRITE rows per write call; return the exit code.
+
+    The first block, header included, is built before anything is written or `out` is opened.
+    """
+    rows = iter(rows)
+    block = header + "".join(islice(rows, ROWS_PER_WRITE))
     try:
-        if out is None:
-            sys.stdout.write(header)
-            sys.stdout.writelines(rows)
-            sys.stdout.flush()  # a closed pipe raises here, not at exit
-        else:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(header)
-                handle.writelines(rows)
+        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
+            while block:
+                handle.write(block)
+                block = "".join(islice(rows, ROWS_PER_WRITE))
+            handle.flush()  # a closed pipe raises here, not at exit
     except OSError as exc:
         if out is None:
             # Point stdout at devnull so that the flush at exit raises nothing.
@@ -222,10 +233,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--alpha applies only to --schedule const, not {args.schedule}")
     try:
         header, rows = args.handler(args)
+        return _write_csv(header, rows, args.out)
     except KmrotError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    return _write_csv(header, rows, args.out)
 
 
 def entrypoint() -> None:

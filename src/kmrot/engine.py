@@ -1,9 +1,10 @@
-"""Iteration engine: step-size schedules and trajectory recording."""
+"""Iteration engine: step-size schedules and the iterates of a run, produced as they are read."""
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NonFiniteError, check_alpha
@@ -52,29 +53,18 @@ def step_size(s: Schedule, k: int) -> float:
     return min(CLIP_MAX, 1.0 / k)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded iterates x_1 .. x_steps as coordinate columns, with their norms.
-
-    (x1[i], x2[i]) is the iterate x_{i+1}, matching the 1-based k of the
-    bound formulas, and norms[i] its norm: norms[0] is the initial distance.
-    """
-
-    x1: tuple[float, ...]
-    x2: tuple[float, ...]
-    norms: tuple[float, ...]
-
-
-def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2, steps: int) -> Trajectory:
+def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2,
+           steps: int) -> Iterator[tuple[float, float, float]]:
     """Iterate x_{k+1} = (1 - alpha_k) x_k + alpha_k T(x_k), k = 1 .. steps-1, on plain floats.
 
-    Returns all `steps` iterates including the start, as columns.  Max-norm
-    norms do not increase beyond rounding (a step can end 1 ulp above the
-    last); under a constant schedule the Euclidean squared norm contracts by
-    an exact per-step factor.  Raises NonFiniteError when the initial norm
-    overflows, before any step, or, from one check of the columns after
-    the steps, at the first iterate with a non-finite coordinate (the
-    rotation overflows within a factor sqrt(2) of the largest double).
+    Returns an iterator over the `steps` iterates, the start first, as
+    (x1, x2, norm); each is stepped when it is read.  Max-norm norms do not
+    increase beyond rounding (a step can end 1 ulp above the last); under a
+    constant schedule the Euclidean squared norm contracts by an exact
+    per-step factor.  Raises NonFiniteError when the initial norm overflows,
+    before it returns; the iterator raises it at the first iterate with a
+    non-finite coordinate (the rotation overflows within a factor sqrt(2)
+    of the largest double).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1: got {steps}")
@@ -83,14 +73,21 @@ def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2, step
         raise NonFiniteError(f"initial norm must be finite: got {d}")
     s, c = sin_cos_pi(theta.fraction)
     linf = norm_kind is NormKind.LINF
-    y1, y2 = x1.x1, x1.x2
-    xs1, xs2 = [y1], [y2]
-    for k in range(1, steps):
-        y1, y2 = averaged_step(c, s, step_size(schedule, k), y1, y2, linf)
-        xs1.append(y1)
-        xs2.append(y2)
-    if not (all(map(math.isfinite, xs1)) and all(map(math.isfinite, xs2))):
-        bad = next(p for p in zip(xs1, xs2) if not all(map(math.isfinite, p)))
-        raise NonFiniteError(f"coordinates must be finite: {bad}")
-    norms = map(max, map(abs, xs1), map(abs, xs2)) if linf else map(math.hypot, xs1, xs2)
-    return Trajectory(tuple(xs1), tuple(xs2), tuple(norms))
+    isfinite, hypot = math.isfinite, math.hypot  # local names: the loop runs once per CSV row
+    alpha = schedule.alpha  # None for a decaying schedule
+
+    def iterates() -> Iterator[tuple[float, float, float]]:
+        y1, y2 = x1.x1, x1.x2
+        yield y1, y2, d
+        for k in range(1, steps):
+            a = step_size(schedule, k) if alpha is None else alpha
+            y1, y2 = averaged_step(c, s, a, y1, y2, linf)
+            if not (isfinite(y1) and isfinite(y2)):
+                raise NonFiniteError(f"coordinates must be finite: {(y1, y2)}")
+            if linf:
+                n1, n2 = abs(y1), abs(y2)
+                yield y1, y2, n1 if n1 >= n2 else n2  # max(n1, n2), without the builtin's call cost
+            else:
+                yield y1, y2, hypot(y1, y2)
+
+    return iterates()

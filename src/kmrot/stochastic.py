@@ -12,13 +12,14 @@ seeded by (seed, r), so per-replica paths never depend on how replicas are
 chunked or how steps are blocked.  A chunk of replicas runs one block of
 steps at a time; each block's squared norms are binned and folded at once
 into exact Python-int sums of x and x^2 per step (ExactSums), and only
-those sums are kept.  Chunks run in up to one process per available CPU
-and at most one per chunk, with no option, and the processes' integer
-totals are added exactly, so every byte of the result is independent of
-the order of blocks and of the worker count.  Memory per process is
-O(_CHUNK * _STEPS) plus the per-step totals, for any replica or step
-count.  Each mean is the exact mean rounded once; each standard error is
-the square root of the exact sample variance rounded once.
+those sums are kept.  Up to one process per available CPU, at most one
+per chunk and with no option, each runs a near-equal contiguous range of
+replicas; their integer totals are added exactly, so every byte of the
+result is independent of the order of blocks and of the worker count.
+Memory per process is O(_CHUNK * _STEPS) plus the per-step totals, for
+any replica or step count.  Each mean is the exact mean rounded once; each
+standard error is the square root of the exact sample variance rounded
+once.
 
 numpy is imported by the functions that build arrays, not by the module:
 kmrot and its CLI import this module's names, and simulate and bound never
@@ -252,7 +253,8 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     normal pair per replica and step into the replica's own row, and steps
     after every record, so the step after the run's last record is computed
     and dropped.  A stream drawn in pieces gives the same numbers as one
-    draw.  Vectorized over the replicas; km_step is element-wise, so the
+    draw.  Without noise (a = b = 0) no generator is built and nothing is
+    drawn.  Vectorized over the replicas; km_step is element-wise, so the
     per-replica paths do not depend on the chunk or block bounds.
     """
     import numpy as np
@@ -262,30 +264,33 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     a, b = cfg.noise.a, cfg.noise.b
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
+    noisy = a > 0.0 or b > 0.0
 
-    rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)]
+    rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)] if noisy else []
     z = np.empty((m, min(_STEPS, steps), 2))
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
+    scale = math.sqrt(a * 0.5)  # for b = 0; b * ||x||^2 would be 0 * inf = nan where ||x||^2 overflows
     for first in range(0, steps, _STEPS):
         block = min(_STEPS, steps - first)
         for g, row in zip(rngs, z):
             g.standard_normal(out=row[:block])
         sq = np.empty((block, m))
         for j in range(block):
-            sq_l2 = x1 * x1 + x2 * x2
             if linf:
                 mx = np.maximum(np.abs(x1), np.abs(x2))
                 sq[j] = mx * mx
             else:
-                sq[j] = sq_l2
-            scale = np.sqrt((a + b * sq_l2) * 0.5)
-            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf, scale * z[:, j, 0], scale * z[:, j, 1])
+                sq[j] = x1 * x1 + x2 * x2
+            if b > 0.0:
+                scale = np.sqrt((a + b * (x1 * x1 + x2 * x2 if linf else sq[j])) * 0.5)
+            w = (scale * z[:, j, 0], scale * z[:, j, 1]) if noisy else ()
+            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf, *w)
         yield first, sq
 
 
 def _workers(chunks: int) -> int:
-    """Processes to run `chunks` chunks in: one per available CPU, at most one per chunk."""
+    """Processes to share `chunks` chunks of replicas: one per available CPU, at most one per chunk."""
     import os
 
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -299,8 +304,9 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     Replicas run _CHUNK at a time and _STEPS steps at a time, and each
     block's squared norms are added to exact per-step sums (ExactSums) and
     then dropped, so memory is O(_CHUNK * _STEPS) per process plus the
-    per-step totals for any replica or step count.  Chunks run in up to one
-    process per available CPU and at most one per chunk (_workers); this
+    per-step totals for any replica or step count.  Process w of W runs
+    the replicas [R * w / W, R * (w + 1) / W), with W up to one per
+    available CPU and at most one per _CHUNK replicas (_workers); this
     process forks the others and adds in the totals they send back.
     Integer totals make every byte of the result independent of the worker
     count and of the chunk and block sizes.  Each mean is the exact mean
@@ -328,12 +334,12 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             unstable = True
 
     sums = ExactSums(cfg.steps, cfg.replicas)
-    starts = range(0, cfg.replicas, _CHUNK)
-    workers = _workers(len(starts))
+    workers = _workers(-(-cfg.replicas // _CHUNK))
 
     def add_share(share: int) -> None:
-        for lo in starts[share::workers]:
-            for first, sq in _simulate_chunk(cfg, lo, min(lo + _CHUNK, cfg.replicas)):
+        lo, hi = (cfg.replicas * w // workers for w in (share, share + 1))
+        for start in range(lo, hi, _CHUNK):
+            for first, sq in _simulate_chunk(cfg, start, min(start + _CHUNK, hi)):
                 sums.add(sq, first)
 
     pipes: dict[int, int] = {}  # child pid -> read end of its pipe

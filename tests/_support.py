@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import random
+from typing import NamedTuple
 
-from kmrot import Angle
+from kmrot import Angle, BoundCurve, run_km
 from kmrot.cli import main
 
 
@@ -30,3 +31,21 @@ def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Columns(NamedTuple):
+    """The iterates of a run as columns: (x1[i], x2[i]) is x_{i+1}, norms[i] its norm."""
+
+    x1: tuple[float, ...]
+    x2: tuple[float, ...]
+    norms: tuple[float, ...]
+
+
+def trajectory(*args) -> Columns:
+    """run_km(*args), read to the end and collected into columns."""
+    return Columns(*map(tuple, zip(*run_km(*args))))
+
+
+def values(curve: BoundCurve) -> tuple[float, ...]:
+    """Every value of a bound curve, read into a tuple."""
+    return tuple(curve.values)

@@ -28,13 +28,12 @@ from kmrot import (
     norm,
     normalized_rotate,
     optimal_alpha_l2,
-    run_km,
     run_stochastic_km,
     search_beta_u,
     verify_period_contraction,
 )
 
-from _support import run_cli, sample_angle
+from _support import run_cli, sample_angle, trajectory
 
 # Published per-period contraction factors the search must reproduce.
 PUBLISHED_BETA_U = {
@@ -80,7 +79,7 @@ def test_c02_l2_exactness():
     x1 = Vec2(10.0, 30.0)
     for theta in thetas:
         for alpha in alphas:
-            traj = run_km(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), x1, 200)
+            traj = trajectory(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), x1, 200)
             g = mu(alpha, theta)
             d = traj.norms[0]
             for i, value in enumerate(traj.norms):
@@ -113,7 +112,7 @@ def test_c04_linf_bound_dominance():
         for _ in range(100):
             phi = rng.uniform(0.0, 2.0 * math.pi)
             x1 = Vec2(math.cos(phi), math.sin(phi))
-            traj = run_km(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 200)
+            traj = trajectory(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 200)
             curve = linf_bound(theta, 0.5, traj.norms[0], 200, beta_u=beta_u)
             for got, cap in zip(traj.norms, curve.values):
                 assert cap >= got - 1e-9, f"theta={theta}: {got} above bound {cap}"
@@ -208,7 +207,7 @@ def test_c09_monte_carlo_proportional_noise():
 def test_c10_schedule_ordering():
     finals = {}
     for schedule in (Schedule(ScheduleKind.INV_LOG), Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_K)):
-        traj = run_km(Angle(1, 4), NormKind.L2, schedule, Vec2(10.0, 30.0), 10_000)
+        traj = trajectory(Angle(1, 4), NormKind.L2, schedule, Vec2(10.0, 30.0), 10_000)
         finals[schedule.kind] = traj.norms[-1]
     assert finals[ScheduleKind.INV_LOG] < finals[ScheduleKind.INV_SQRT] < finals[ScheduleKind.INV_K]
     assert finals[ScheduleKind.INV_K] > 10.0 * finals[ScheduleKind.INV_SQRT]

@@ -24,12 +24,11 @@ from kmrot import (
     noise_bound,
     optimal_alpha_l2,
     pseudo_period,
-    run_km,
     search_beta_u,
     sin_cos_pi,
 )
 
-from _support import sample_angle
+from _support import sample_angle, trajectory, values
 
 
 class TestMu:
@@ -62,7 +61,7 @@ class TestMu:
 class TestL2Bound:
     def test_half_turn_collapse(self):
         curve = l2_bound(Angle(1, 1), 0.5, 1.0, 4)
-        assert curve.values == (1.0, 0.0, 0.0, 0.0)
+        assert values(curve) == (1.0, 0.0, 0.0, 0.0)
 
     def test_quarter_turn_third_step(self):
         curve = l2_bound(Angle(1, 2), 0.5, 1.0, 3)
@@ -78,7 +77,7 @@ class TestL2Bound:
 
     def test_matches_trajectory_exactly(self):
         theta, alpha = Angle(1, 6), 0.35
-        traj = run_km(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 120)
+        traj = trajectory(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 120)
         curve = l2_bound(theta, alpha, traj.norms[0], 120)
         for got, expected in zip(traj.norms, curve.values):
             assert got == pytest.approx(expected, rel=1e-10)
@@ -89,6 +88,46 @@ class TestL2Bound:
             d = rng.uniform(0.0, 100.0)
             curve = l2_bound(sample_angle(rng), rng.uniform(0.01, 0.99), d, 3)
             assert curve.values[0] == d
+
+
+class TestLazyValues:
+    """l2_bound and linf_bound values are a read-only sequence evaluated as read."""
+
+    CURVES = {
+        "l2": lambda k_max: l2_bound(Angle(1, 12), 0.3, 7.5, k_max),
+        "linf": lambda k_max: linf_bound(Angle(1, 12), 0.5, 7.5, k_max, beta_u=0.8974),
+    }
+    EAGER = {  # the expressions evaluated before the values were lazy
+        "l2": lambda k: mu(0.3, Angle(1, 12)) ** ((k - 1) / 2) * 7.5,
+        "linf": lambda k: 0.8974 ** ((k - 1) // pseudo_period(Angle(1, 12))) * 7.5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_every_bit_of_the_eager_values(self, name):
+        curve = self.CURVES[name](3000)
+        assert values(curve) == tuple(map(self.EAGER[name], range(1, 3001)))
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_sequence_protocol(self, name):
+        curve, eager = self.CURVES[name](100), self.EAGER[name]
+        v = curve.values
+        assert len(v) == 100
+        assert (v[0], v[99], v[-1], v[-100]) == (eager(1), eager(100), eager(100), eager(1))
+        for i in (100, -101):
+            with pytest.raises(IndexError):
+                v[i]
+        assert tuple(v[10:20]) == tuple(map(eager, range(11, 21)))
+        assert tuple(v[::-33]) == tuple(map(eager, (100, 67, 34, 1)))
+        assert len(v[1:]) == 99 and v[1:][0] == eager(2)
+        assert list(reversed(v))[0] == eager(100)
+        with pytest.raises(TypeError):
+            v[0] = 1.0
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_any_length_in_constant_memory(self, name):
+        curve = self.CURVES[name](10**15)
+        assert len(curve.values) == 10**15
+        assert curve.values[-1] == self.EAGER[name](10**15)
 
 
 class TestOptimalAlpha:
@@ -135,7 +174,7 @@ class TestBetaL:
 class TestLinfBound:
     def test_quarter_turn_floor_powers(self):
         curve = linf_bound(Angle(1, 2), 0.5, 30.0, 5)
-        assert curve.values == (30.0, 30.0, 15.0, 15.0, 7.5)
+        assert values(curve) == (30.0, 30.0, 15.0, 15.0, 7.5)
 
     def test_half_turn_any_alpha(self):
         curve = linf_bound(Angle(1, 1), 0.3, 2.0, 4)
@@ -144,12 +183,12 @@ class TestLinfBound:
 
     def test_period_bound_uses_floor_exponent(self):
         curve = linf_bound(Angle(1, 4), 0.5, 1.0, 9, beta_u=0.7504)
-        assert curve.values[:4] == (1.0, 1.0, 1.0, 1.0)
+        assert values(curve)[:4] == (1.0, 1.0, 1.0, 1.0)
         assert curve.values[8] == 0.7504**2 == 0.56310016
 
     def test_three_quarter_turn_halves_per_step(self):
         curve = linf_bound(Angle(3, 4), 0.5, 1.0, 6)
-        assert curve.values == tuple(0.5**i for i in range(6))
+        assert values(curve) == tuple(0.5**i for i in range(6))
 
     def test_two_thirds_turn_per_step_factor(self):
         curve = linf_bound(Angle(2, 3), 0.5, 1.0, 3)
@@ -158,12 +197,12 @@ class TestLinfBound:
         assert curve.values[2] == pytest.approx(factor**2, rel=1e-14)
 
     def test_mirror_symmetry(self):
-        assert linf_bound(Angle(7, 4), 0.5, 3.0, 20, beta_u=0.7504).values == \
-            linf_bound(Angle(1, 4), 0.5, 3.0, 20, beta_u=0.7504).values
-        assert linf_bound(Angle(3, 2), 0.5, 3.0, 20).values == \
-            linf_bound(Angle(1, 2), 0.5, 3.0, 20).values
-        assert linf_bound(Angle(5, 4), 0.5, 3.0, 20).values == \
-            linf_bound(Angle(3, 4), 0.5, 3.0, 20).values
+        assert values(linf_bound(Angle(7, 4), 0.5, 3.0, 20, beta_u=0.7504)) == \
+            values(linf_bound(Angle(1, 4), 0.5, 3.0, 20, beta_u=0.7504))
+        assert values(linf_bound(Angle(3, 2), 0.5, 3.0, 20)) == \
+            values(linf_bound(Angle(1, 2), 0.5, 3.0, 20))
+        assert values(linf_bound(Angle(5, 4), 0.5, 3.0, 20)) == \
+            values(linf_bound(Angle(3, 4), 0.5, 3.0, 20))
 
     def test_alpha_other_than_half_rejected_off_the_theta_set(self):
         with pytest.raises(UnsupportedAlphaError):
@@ -177,8 +216,8 @@ class TestLinfBound:
     @pytest.mark.parametrize("theta", [Angle(1, 5), Angle(9, 5)])
     def test_missing_contraction_factor_is_searched(self, theta):
         searched = search_beta_u(Angle(1, 5)).beta_u
-        assert linf_bound(theta, 0.5, 1.0, 40).values == \
-            linf_bound(theta, 0.5, 1.0, 40, beta_u=searched).values
+        assert values(linf_bound(theta, 0.5, 1.0, 40)) == \
+            values(linf_bound(theta, 0.5, 1.0, 40, beta_u=searched))
 
     @pytest.mark.parametrize("alpha, d, error", [(0.3, 1.0, UnsupportedAlphaError),
                                                  (0.5, math.inf, NonFiniteError),
@@ -197,8 +236,8 @@ class TestLinfBound:
             raise AssertionError("search_beta_u ran")
 
         monkeypatch.setattr(kmrot.bounds, "search_beta_u", no_search)
-        assert linf_bound(Angle(1, 5), 0.5, 3.0, 5).values == (3.0,) * 5
-        assert linf_bound(Angle(9, 5), 0.5, 3.0, 1).values == (3.0,)
+        assert values(linf_bound(Angle(1, 5), 0.5, 3.0, 5)) == (3.0,) * 5
+        assert values(linf_bound(Angle(9, 5), 0.5, 3.0, 1)) == (3.0,)
         with pytest.raises(ValueError, match="beta_u must lie in"):
             linf_bound(Angle(1, 5), 0.5, 3.0, 5, beta_u=1.2)
 
@@ -291,7 +330,7 @@ class TestDominanceSmoke:
         rng = random.Random(100 * p + q)
         for _ in range(10):
             x1 = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            traj = run_km(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 80)
+            traj = trajectory(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 80)
             curve = linf_bound(theta, 0.5, traj.norms[0], 80, beta_u=beta_u)
             for got, cap in zip(traj.norms, curve.values):
                 assert got <= cap + 1e-9

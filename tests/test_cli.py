@@ -2,6 +2,8 @@
 
 import ast
 import inspect
+import io
+import itertools
 import math
 import os
 import shlex
@@ -19,18 +21,18 @@ import kmrot.rotation as rotation
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
+    NonFiniteError,
     NormKind,
     Schedule,
     ScheduleKind,
     Vec2,
     linf_bound,
     mu,
-    run_km,
     search_beta_u,
 )
 from kmrot.beta_search import MIN_GRID_STEP
 
-from _support import parse_csv, run_cli
+from _support import parse_csv, run_cli, trajectory
 
 
 class TestSimulate:
@@ -109,7 +111,7 @@ class TestSimulate:
         )
         assert code == 0
         _, rows = parse_csv(out)
-        traj = run_km(Angle(1, 12), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(3.0, -7.0), 40)
+        traj = trajectory(Angle(1, 12), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(3.0, -7.0), 40)
         curve = linf_bound(Angle(1, 12), 0.5, traj.norms[0], 40, beta_u=0.8974)
         for row, a, b, value, cap in zip(rows, traj.x1, traj.x2, traj.norms, curve.values):
             assert float(row[1]) == a
@@ -120,16 +122,91 @@ class TestSimulate:
 
     @pytest.mark.parametrize("norm", ["l2", "linf"])
     def test_long_run_holds_columns_not_rows(self, norm, tmp_path):
-        # a Vec2 per iterate and a list of all row strings peaked at 10.9 MiB
+        # a Vec2 per iterate and a list of all row strings peaked at 10.9 MiB,
+        # and the columns of every iterate at 3.9 MiB; one block of rows
+        # takes about 0.4 MiB
         argv = ["simulate", "--theta", "1/12", "--norm", norm, "--steps", "30000", "--out", str(tmp_path / "o.csv")]
-        tracemalloc.start()
-        try:
-            code = cli.main(argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(argv)
         assert code == 0
-        assert peak < 6 * 2**20
+        assert peak < 2**20
+
+
+def traced_peak(argv: list[str]) -> tuple[int, int]:
+    """The exit code of cli.main(argv) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+class TestStreaming:
+    """Rows are computed as they are written, one write call per block of rows."""
+
+    BLOCK = cli.ROWS_PER_WRITE
+
+    def test_rows_reach_stdout_in_blocks(self, monkeypatch):
+        class CountingStdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main("simulate --theta 1/12 --steps 30000".split()) == 0
+        assert stdout.getvalue().count("\n") == 30001
+        assert stdout.writes <= -(-30000 // self.BLOCK) + 1
+
+    @pytest.mark.parametrize("command", ["simulate --theta 1/12", "bound --theta 1/12 --norm linf"])
+    def test_memory_is_flat_in_steps(self, command, tmp_path):
+        argv = command.split() + ["--out", str(tmp_path / "o.csv"), "--steps"]
+        code, short = traced_peak(argv + ["2000"])
+        assert code == 0
+        assert traced_peak(argv + ["200000"]) == (0, pytest.approx(short, abs=2**20))
+
+    def stub_iterates(self, monkeypatch, good: int) -> None:
+        """Make run_km's iterates raise NonFiniteError after `good` real ones."""
+        real = cli.run_km
+
+        def run_km(*args):
+            def iterates():
+                yield from itertools.islice(real(*args), good)
+                raise NonFiniteError("coordinates must be finite: (7.5e+307, nan)")
+
+            return iterates()
+
+        monkeypatch.setattr(cli, "run_km", run_km)
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_late_non_finite_state_leaves_the_whole_blocks_before_it(self, out, capsys, monkeypatch, tmp_path):
+        argv = "simulate --theta 1/12 --norm linf --x1 3,-7 --steps".split()
+        _, whole, _ = run_cli(argv + [str(2 * self.BLOCK)], capsys)
+        self.stub_iterates(monkeypatch, 2 * self.BLOCK + 5)
+        path = tmp_path / "o.csv"
+        code, stdout, err = run_cli(argv + [str(3 * self.BLOCK)] + ["--out", str(path)] * out, capsys)
+        assert (code, err) == (3, "error: coordinates must be finite: (7.5e+307, nan)\n")
+        assert (path.read_text() if out else stdout) == whole
+        assert whole.count("\n") == 2 * self.BLOCK + 1
+
+    def test_first_block_is_stepped_before_the_bound_is_built(self, capsys):
+        # the max-norm bound at pi/6 takes only alpha = 0.5, and the first
+        # step overflows: the run reports the step, as when it ran first
+        argv = "simulate --theta 1/6 --norm linf --x1 1.5e308,1.5e308 --alpha 0.3 --steps 3000".split()
+        assert run_cli(argv, capsys) == (3, "", "error: coordinates must be finite: (1.0499999999999999e+308, nan)\n")
+
+    @pytest.mark.parametrize("good", [1, cli.ROWS_PER_WRITE - 1])
+    @pytest.mark.parametrize("schedule", ["const", "invk"])  # invk: no bound, so no iterate is read before _write_csv
+    def test_failure_in_the_first_block_writes_nothing(self, good, schedule, capsys, monkeypatch, tmp_path):
+        self.stub_iterates(monkeypatch, good)
+        path = tmp_path / "o.csv"
+        for extra in ([], ["--out", str(path)]):
+            code, stdout, err = run_cli(f"simulate --theta 1/12 --schedule {schedule} --steps 5000".split() + extra, capsys)
+            assert (code, stdout, err.count("\n")) == (3, "", 1)
+        assert not path.exists()
 
 
 class TestBound:
@@ -265,6 +342,16 @@ class TestMc:
         assert (code, err) == (0, "")
         _, rows = parse_csv(out)
         assert rows[0][:3] == ["1", "%.17g" % (2 * 1e153 * 1e153), "0"]
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:3])
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_noise_scale_where_the_euclidean_square_overflows(self, capsys):
+        # ||x||_2^2 is about 2e308, past the largest double; ||x||_inf^2 is 1e308
+        code, out, err = run_cli(("mc --theta 1/6 --norm linf --A 2 --B 0 --x1 1e154,1e154 "
+                                  "--replicas 10 --steps 3").split(), capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == 3
         assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:3])
 
     def test_same_seed_same_bytes(self, capsys, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from kmrot import (
 )
 from kmrot.engine import CLIP_MAX
 
-from _support import sample_angle
+from _support import sample_angle, trajectory
 
 angles = st.integers(1, 64).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Angle(p, q)))
 alphas = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -77,20 +77,20 @@ class TestStepSize:
 
 class TestRunKm:
     def test_half_turn_collapses(self):
-        traj = run_km(Angle(1, 1), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(10.0, 30.0), 3)
+        traj = trajectory(Angle(1, 1), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(10.0, 30.0), 3)
         assert (traj.x1, traj.x2) == ((10.0, 0.0, 0.0), (30.0, 0.0, 0.0))
         assert traj.norms[1:] == (0.0, 0.0)
 
     def test_quarter_turn_max_norm_steps(self):
-        traj = run_km(Angle(1, 2), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.0, 0.0), 3)
+        traj = trajectory(Angle(1, 2), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.0, 0.0), 3)
         assert (traj.x1, traj.x2) == ((1.0, 0.5, 0.0), (0.0, 0.5, 0.5))
 
     def test_l2_one_step_contraction(self):
-        traj = run_km(Angle(1, 4), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(10.0, 30.0), 2)
+        traj = trajectory(Angle(1, 4), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(10.0, 30.0), 2)
         assert traj.norms[1] ** 2 == pytest.approx(mu(0.5, Angle(1, 4)) * traj.norms[0] ** 2, rel=1e-12)
 
     def test_length_and_recorded_norms(self):
-        traj = run_km(Angle(2, 3), NormKind.LINF, Schedule(ScheduleKind.INV_SQRT), Vec2(4.0, -1.0), 50)
+        traj = trajectory(Angle(2, 3), NormKind.LINF, Schedule(ScheduleKind.INV_SQRT), Vec2(4.0, -1.0), 50)
         assert len(traj.x1) == len(traj.x2) == len(traj.norms) == 50
         for a, b, value in zip(traj.x1, traj.x2, traj.norms):
             assert value == norm(Vec2(a, b), NormKind.LINF)
@@ -104,7 +104,7 @@ class TestRunKm:
     @example(Angle(1, 64), 0.5, NormKind.L2, ScheduleKind.INV_LOG, -0.0, 5e-324)
     def test_columns_match_apply_averaged_bitwise(self, a, alpha, kind, schedule_kind, x1, x2):
         schedule = Schedule(schedule_kind, alpha if schedule_kind is ScheduleKind.CONSTANT else None)
-        traj = run_km(a, kind, schedule, Vec2(x1, x2), 12)
+        traj = trajectory(a, kind, schedule, Vec2(x1, x2), 12)
         op, x = RotationOp(a), Vec2(x1, x2)
         expected = [x]
         for k in range(1, 12):
@@ -117,16 +117,29 @@ class TestRunKm:
     def test_later_non_finite_iterate_names_its_coordinates(self):
         # Rx itself overflows: s * x1 + c * x2 is inf, so g = 0 and inf * g is nan
         with pytest.raises(NonFiniteError, match=r"^coordinates must be finite: \(7\.5e\+307, nan\)$"):
-            run_km(Angle(1, 6), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.5e308, 1.5e308), 3)
+            list(run_km(Angle(1, 6), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.5e308, 1.5e308), 3))
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_scaled_start_gives_the_scaled_trajectory(self, kind):
         # 2^600 scales the start to about 4e180, past where ||x||_inf^2 overflows
         schedule = Schedule(ScheduleKind.CONSTANT, 0.5)
-        traj = run_km(Angle(1, 6), kind, schedule, Vec2(3.0, -7.0), 40)
-        big = run_km(Angle(1, 6), kind, schedule, Vec2(math.ldexp(3.0, 600), math.ldexp(-7.0, 600)), 40)
+        traj = trajectory(Angle(1, 6), kind, schedule, Vec2(3.0, -7.0), 40)
+        big = trajectory(Angle(1, 6), kind, schedule, Vec2(math.ldexp(3.0, 600), math.ldexp(-7.0, 600)), 40)
         for col, big_col in zip((traj.x1, traj.x2, traj.norms), (big.x1, big.x2, big.norms)):
             assert [_bits(v) for v in big_col] == [_bits(math.ldexp(v, 600)) for v in col]
+
+    def test_iterates_are_stepped_as_they_are_read(self):
+        schedule = Schedule(ScheduleKind.CONSTANT, 0.5)
+        iterates = run_km(Angle(1, 6), NormKind.LINF, schedule, Vec2(3.0, -7.0), 10**15)
+        short = trajectory(Angle(1, 6), NormKind.LINF, schedule, Vec2(3.0, -7.0), 2)
+        assert [next(iterates), next(iterates)] == list(zip(*short))
+        assert short.x1[0] == 3.0 and short.norms[0] == 7.0
+
+    @pytest.mark.parametrize("steps", [0, 10**15])
+    def test_start_checks_run_before_the_first_read(self, steps):
+        error = ValueError if steps < 1 else NonFiniteError
+        with pytest.raises(error):
+            run_km(Angle(1, 6), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.5e308, 1.5e308), steps)
 
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -141,7 +154,7 @@ class TestRunKm:
                  Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_LOG)]
             )
             x1 = Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50))
-            traj = run_km(theta, NormKind.LINF, schedule, x1, 60)
+            traj = trajectory(theta, NormKind.LINF, schedule, x1, 60)
             for a, b in zip(traj.norms, traj.norms[1:]):
                 assert b <= a + 1e-12
 
@@ -150,7 +163,7 @@ class TestTrajectoryLaws:
     def test_l2_norms_follow_closed_form(self):
         for alpha in (0.3, 0.5, 0.8):
             theta = Angle(1, 4)
-            traj = run_km(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 200)
+            traj = trajectory(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 200)
             g = mu(alpha, theta)
             d = traj.norms[0]
             for i, value in enumerate(traj.norms):
@@ -160,7 +173,7 @@ class TestTrajectoryLaws:
         rng = random.Random(8)
         for _ in range(50):
             x1 = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            traj = run_km(Angle(3, 4), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 30)
+            traj = trajectory(Angle(3, 4), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 30)
             for a, b in zip(traj.norms, traj.norms[1:]):
                 assert b <= 0.5 * a + 1e-12
 
@@ -175,7 +188,7 @@ class TestTrajectoryLaws:
             x1 = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
             if norm(x1, NormKind.LINF) < 1e-3:
                 continue
-            traj = run_km(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 5 * period + 1)
+            traj = trajectory(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 5 * period + 1)
             for i in range(len(traj.norms) - period):
                 before, after = traj.norms[i], traj.norms[i + period]
                 assert after <= upper * before + 1e-9
@@ -185,6 +198,6 @@ class TestTrajectoryLaws:
         # after 1000 steps the log schedule is fastest, then sqrt, then 1/k
         finals = {}
         for schedule in (Schedule(ScheduleKind.INV_LOG), Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_K)):
-            traj = run_km(Angle(1, 4), NormKind.L2, schedule, Vec2(10.0, 30.0), 1000)
+            traj = trajectory(Angle(1, 4), NormKind.L2, schedule, Vec2(10.0, 30.0), 1000)
             finals[schedule.kind] = traj.norms[-1]
         assert finals[ScheduleKind.INV_LOG] < finals[ScheduleKind.INV_SQRT] < finals[ScheduleKind.INV_K]

@@ -258,6 +258,25 @@ class TestRunStochastic:
         for means in many:
             assert means == one
 
+    @pytest.mark.parametrize("kind", NormKind)
+    def test_noiseless_run_draws_nothing(self, kind, monkeypatch):
+        def no_generator(seed, replica):
+            raise AssertionError("a generator was built")
+
+        cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=30, norm_kind=kind)
+        monkeypatch.setattr(stochastic, "replica_rng", no_generator)
+        res = run_stochastic_km(cfg)
+        assert res.std_err == (0.0,) * cfg.steps
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_noise_scale_where_the_euclidean_square_overflows(self):
+        # b = 0: b * ||x||_2^2 would be 0 * inf = nan at this start
+        cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e154, 1e154), noise=NoiseParams(2.0, 0.0),
+                          replicas=10, steps=3, norm_kind=NormKind.LINF)
+        res = run_stochastic_km(cfg)
+        assert res.mean_sq_norm[0] == 1e154 * 1e154
+        assert all(map(math.isfinite, res.mean_sq_norm + res.std_err))
+
     def test_memory_does_not_grow_with_replicas(self, monkeypatch):
         # the whole replicas x steps matrix would take 25 MiB; one process,
         # since tracemalloc sees only the allocations of this one
@@ -391,6 +410,23 @@ class TestWorkers:
         assert_no_child_left()
         err = capfd.readouterr().err
         assert "Traceback" in err and "ValueError: a child's share failed" in err
+
+    def test_each_process_runs_one_contiguous_range_of_replicas(self, monkeypatch):
+        # 30 replicas over three processes: this one runs [0, 10) in chunks
+        # of at most 7
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 3)
+        parent, real, chunks = os.getpid(), stochastic._simulate_chunk, []
+
+        def chunk(cfg, start, stop):
+            if os.getpid() == parent:
+                chunks.append((start, stop))
+            return real(cfg, start, stop)
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        run_stochastic_km(make_config(replicas=30))
+        assert_no_child_left()
+        assert chunks == [(0, 7), (7, 10)]
 
     def test_worker_count_rule(self, monkeypatch):
         # the helper alone: no process starts
