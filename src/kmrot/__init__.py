@@ -9,11 +9,9 @@ affine-variance noise.
 from .beta_search import (
     REFERENCE_BETA_U,
     BetaSearchResult,
-    PeriodCheckReport,
     beta_l,
     pseudo_period,
     search_beta_u,
-    verify_period_contraction,
 )
 from .bounds import (
     BoundCurve,
@@ -41,8 +39,6 @@ from .rotation import (
     apply_averaged,
     gamma,
     norm,
-    normalized_rotate,
-    rotate,
     sin_cos_pi,
     tan_pi,
 )
@@ -68,7 +64,6 @@ __all__ = [
     "NonFiniteError",
     "NormKind",
     "OutOfRangeError",
-    "PeriodCheckReport",
     "REFERENCE_BETA_U",
     "RotationOp",
     "Schedule",
@@ -85,16 +80,13 @@ __all__ = [
     "mu",
     "noise_bound",
     "norm",
-    "normalized_rotate",
     "optimal_alpha_l2",
     "pseudo_period",
     "replica_rng",
-    "rotate",
     "run_km",
     "run_stochastic_km",
     "search_beta_u",
     "sin_cos_pi",
     "step_size",
     "tan_pi",
-    "verify_period_contraction",
 ]

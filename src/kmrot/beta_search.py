@@ -20,8 +20,6 @@ it starts without loading numpy.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -43,7 +41,7 @@ REFERENCE_BETA_U: dict[Angle, float] = {
 }
 
 _REFINE_FACTOR = 10
-# Starts (or trials) stepped together; bounds the memory of one batch.
+# Starts stepped together; bounds the memory of one batch.
 _CHUNK = 4096
 # The grid step range of search_beta_u.  The lower end caps the coarse
 # sweep at 2e6 + 1 starts.
@@ -60,27 +58,6 @@ class BetaSearchResult:
     beta_u: float
     argmax_start: Vec2
     grid_step: float
-
-
-@dataclass(frozen=True)
-class PeriodCheckReport:
-    """Outcome of randomized two-sided per-period checks.
-
-    Violations are counted, not raised: the report carries the extreme
-    ratios observed so a caller can judge how close the bounds run.
-    """
-
-    theta: Angle
-    period: int
-    trials: int
-    upper_violations: int
-    lower_violations: int
-    min_ratio: float
-    max_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        return self.upper_violations == 0 and self.lower_violations == 0
 
 
 def pseudo_period(theta: Angle) -> int:
@@ -154,60 +131,3 @@ def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
     best, best_t = _edge_max(c, s, period, np.array([t for t in fine if -1.0 <= t <= 1.0]))
 
     return BetaSearchResult(theta, period, best, Vec2(best_t, 1.0), grid_step)
-
-
-def verify_period_contraction(
-    theta: Angle,
-    beta_u: float,
-    trials: int = 10_000,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> PeriodCheckReport:
-    """Check beta_l * ||x_i|| <= ||x_{i+T}|| <= beta_u * ||x_i|| on random runs.
-
-    Each trial starts from a random direction scaled to the square, advances
-    a random offset i - 1 so x_i sits at an arbitrary point of an actual
-    trajectory, then takes one more pseudo-period.  Trials are stepped
-    together in chunks; the report does not depend on the chunk size.
-    Tolerance is absolute; starts are unit scale and max-norm iterates
-    never grow by more than rounding.
-    """
-    import numpy as np
-
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1: got {trials}")
-    period = pseudo_period(theta)
-    lower = beta_l(theta)
-    s, c = sin_cos_pi(theta.fraction)
-    rng = random.Random(seed)
-
-    upper_violations = 0
-    lower_violations = 0
-    min_ratio, max_ratio = float("inf"), float("-inf")
-    for lo in range(0, trials, _CHUNK):
-        # the draws keep the per-trial order (direction, then offset)
-        draws = [(rng.uniform(0.0, 2.0 * math.pi), rng.randrange(1, 2 * period + 1))
-                 for _ in range(min(_CHUNK, trials - lo))]
-        x1, x2 = np.array([_unit_square_point(phi) for phi, _ in draws]).T
-        first = np.array([offset - 1 for _, offset in draws])
-        n_i = np.empty(len(draws))
-        n_f = np.empty(len(draws))
-        for k in range(int(first.max()) + period + 1):
-            if k:
-                x1, x2 = km_step(c, s, 0.5, x1, x2, True)
-            norm = np.maximum(np.abs(x1), np.abs(x2))
-            np.copyto(n_i, norm, where=first == k)
-            np.copyto(n_f, norm, where=first + period == k)
-        ratio = n_f / n_i
-        min_ratio = min(min_ratio, float(ratio.min()))
-        max_ratio = max(max_ratio, float(ratio.max()))
-        upper_violations += int(np.count_nonzero(n_f > beta_u * n_i + tol))
-        lower_violations += int(np.count_nonzero(n_f < lower * n_i - tol))
-
-    return PeriodCheckReport(theta, period, trials, upper_violations, lower_violations, min_ratio, max_ratio)
-
-
-def _unit_square_point(phi: float) -> tuple[float, float]:
-    x1, x2 = math.cos(phi), math.sin(phi)
-    m = max(abs(x1), abs(x2))
-    return x1 / m, x2 / m

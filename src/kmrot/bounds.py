@@ -100,10 +100,13 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
     theta in (pi/2, pi): (1 + tan(3*pi/4 - theta)) / 2 per step.
     theta in (pi, 2*pi): evaluated at the mirror angle 2*pi - theta.
     Every range but theta = pi needs alpha = 0.5, checked before any search.
+    A beta_u that is given must lie in (0, 1) at every angle.
     """
     check_alpha(alpha)
     _check_k_max(k_max)
     _check_initial(d)
+    if beta_u is not None and not 0.0 < beta_u < 1.0:
+        raise ValueError(f"beta_u must lie in (0, 1): got {beta_u}")
     folded = theta.folded()
     f = folded.fraction
 
@@ -119,8 +122,6 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
         if beta_u is None:
             # rows k <= period take factor^0, so a curve that short needs no search
             beta_u = search_beta_u(folded).beta_u if k_max > period else 0.5
-        if not 0.0 < beta_u < 1.0:
-            raise ValueError(f"beta_u must lie in (0, 1): got {beta_u}")
         factor = beta_u
     else:
         factor, period = (1.0 + tan_pi(Fraction(3, 4) - f)) / 2.0, 1

@@ -3,16 +3,17 @@
 Angles are carried as exact rationals t = p/q in units of pi.  Keeping the
 rational around (instead of a raw float) makes two things decidable without
 float comparisons: membership in the quarter/half-turn set {pi/2, pi}, and
-the pseudo-period ceil(q/p) used by the max-norm analysis.  Trig values are
-evaluated once per operator with argument reduction on the rational, so
+the pseudo-period ceil(q/p) used by the max-norm analysis.  sin_cos_pi
+evaluates the trig values with argument reduction on the rational, so
 quarter-turn multiples come out exact (sin(pi) is 0.0, not 1.2e-16).  All
 arithmetic is double precision.
 
-T is written once, as turn, for plain floats and float64 arrays alike.
-averaged_step builds the averaged step on it for one point, which the Vec2
-functions wrap, and km_step for arrays of points.  km_step imports numpy
-itself, since it is the only function here that builds arrays: simulate and
-bound step plain floats, so they start without loading numpy.
+T is written once, as turn, for plain floats and float64 arrays alike, on
+c = cos(theta) and s = sin(theta).  averaged_step builds the averaged step
+on it for one point and km_step for arrays of points; gamma is the rescale
+factor of T.  km_step imports numpy itself, since it is the only function
+here that builds arrays: simulate and bound step plain floats, so they
+start without loading numpy.
 """
 
 from __future__ import annotations
@@ -137,9 +138,6 @@ class Vec2:
         if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
             raise NonFiniteError(f"coordinates must be finite: ({self.x1}, {self.x2})")
 
-    def is_zero(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0
-
 
 @dataclass(frozen=True)
 class RotationOp:
@@ -147,7 +145,10 @@ class RotationOp:
 
     The induced matrix is [[cos, -sin], [sin, cos]]; it is orthogonal and its
     symmetric part is cos(theta) * I, which is what makes the averaged step's
-    squared-norm recursion exact under the Euclidean norm.
+    squared-norm recursion exact under the Euclidean norm.  It exists for
+    apply_averaged, whose per-call time the benchmark's kernel probe
+    measures; the library's own paths call turn, averaged_step and km_step
+    on (c, s) directly.
     """
 
     angle: Angle
@@ -187,11 +188,6 @@ def averaged_step(c: float, s: float, alpha: float, x1: float, x2: float, linf: 
     return (1.0 - alpha) * x1 + alpha * t1, (1.0 - alpha) * x2 + alpha * t2
 
 
-def rotate(op: RotationOp, x: Vec2) -> Vec2:
-    """Apply the rotation matrix to x.  Preserves the Euclidean norm."""
-    return Vec2(*turn(op.cos_theta, op.sin_theta, x.x1, x.x2, False))
-
-
 def norm(x: Vec2, kind: NormKind) -> float:
     """Euclidean or max norm of x."""
     if kind is NormKind.L2:
@@ -199,31 +195,25 @@ def norm(x: Vec2, kind: NormKind) -> float:
     return max(abs(x.x1), abs(x.x2))
 
 
-def gamma(op: RotationOp, x: Vec2) -> float:
-    """Rescaling factor ||x||_inf / ||Rx||_inf; lies in [sqrt(2)/2, sqrt(2)].
+def gamma(c: float, s: float, x1: float, x2: float) -> float:
+    """The rescale factor ||x||_inf / ||Rx||_inf of turn; lies in [sqrt(2)/2, sqrt(2)].
 
-    x is first scaled by the power of two that brings ||x||_inf into
-    [0.5, 1).  The ratio is scale-invariant and the scaling is exact, so
-    the result has the same bits as the unscaled formula unless a rotated
-    product rounds to a subnormal.  Near the subnormal range the scaled
-    formula keeps the rotated components that the unscaled one loses.
+    Takes the rotation and point as turn does.  x is first scaled by the
+    power of two that brings ||x||_inf into [0.5, 1).  The ratio is
+    scale-invariant and the scaling is exact, so the result has the same
+    bits as the unscaled formula unless a rotated product rounds to a
+    subnormal.  Near the subnormal range the scaled formula keeps the
+    rotated components that the unscaled one loses.
 
     Undefined at the origin: callers must treat the zero vector as the fixed
     point and never ask for its rescaling.
     """
-    if x.is_zero():
+    if x1 == 0.0 and x2 == 0.0:
         raise ZeroVectorError("gamma is undefined at the zero vector")
-    e = -math.frexp(max(abs(x.x1), abs(x.x2)))[1]
-    x1, x2 = math.ldexp(x.x1, e), math.ldexp(x.x2, e)
-    t1, t2 = turn(op.cos_theta, op.sin_theta, x1, x2, False)
+    e = -math.frexp(max(abs(x1), abs(x2)))[1]
+    x1, x2 = math.ldexp(x1, e), math.ldexp(x2, e)
+    t1, t2 = turn(c, s, x1, x2, False)
     return max(abs(x1), abs(x2)) / max(abs(t1), abs(t2))
-
-
-def normalized_rotate(op: RotationOp, x: Vec2) -> Vec2:
-    """Rotate x and rescale the image back onto the max-norm sphere of x: gamma(op, x) * Rx."""
-    if x.is_zero():
-        raise ZeroVectorError("normalized rotation is undefined at the zero vector")
-    return Vec2(*turn(op.cos_theta, op.sin_theta, x.x1, x.x2, True))
 
 
 def apply_averaged(op: RotationOp, kind: NormKind, alpha: float, x: Vec2) -> Vec2:

@@ -26,14 +26,14 @@ from kmrot import (
     mu,
     noise_bound,
     norm,
-    normalized_rotate,
     optimal_alpha_l2,
     run_stochastic_km,
     search_beta_u,
-    verify_period_contraction,
+    sin_cos_pi,
 )
+from kmrot.rotation import turn
 
-from _support import run_cli, sample_angle, trajectory
+from _support import run_cli, sample_angle, scalar_period_check, trajectory
 
 # Published per-period contraction factors the search must reproduce.
 PUBLISHED_BETA_U = {
@@ -136,23 +136,23 @@ def test_c05_quasi_nonexpansiveness():
 
 
 def test_c06_expansion_dichotomy():
-    op = RotationOp(Angle(1, 4))
-    ix = normalized_rotate(op, Vec2(1.0, 0.0))
-    iy = normalized_rotate(op, Vec2(0.0, 1.0))
-    expansion = max(abs(ix.x1 - iy.x1), abs(ix.x2 - iy.x2))
+    s, c = sin_cos_pi(Angle(1, 4).fraction)
+    ix = turn(c, s, 1.0, 0.0, True)
+    iy = turn(c, s, 0.0, 1.0, True)
+    expansion = max(abs(ix[0] - iy[0]), abs(ix[1] - iy[1]))
     assert expansion == 2.0
     assert expansion > 1.0 == max(abs(1.0 - 0.0), abs(0.0 - 1.0))
 
     rng = random.Random(606)
     for p, q in [(1, 2), (1, 1)]:
-        op = RotationOp(Angle(p, q))
+        s, c = sin_cos_pi(Angle(p, q).fraction)
         for _ in range(10_000):
             x = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
             y = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            if x.is_zero() or y.is_zero():
+            if x.x1 == x.x2 == 0.0 or y.x1 == y.x2 == 0.0:
                 continue
-            ix, iy = normalized_rotate(op, x), normalized_rotate(op, y)
-            lhs = max(abs(ix.x1 - iy.x1), abs(ix.x2 - iy.x2))
+            ix, iy = turn(c, s, x.x1, x.x2, True), turn(c, s, y.x1, y.x2, True)
+            lhs = max(abs(ix[0] - iy[0]), abs(ix[1] - iy[1]))
             rhs = max(abs(x.x1 - y.x1), abs(x.x2 - y.x2))
             assert lhs <= rhs + 1e-12
     _report(6, "expansion is exactly 2 at the eighth turn; none on the quarter/half turns")
@@ -162,7 +162,7 @@ def test_c07_per_period_two_sided_bound(searched):
     start = time.perf_counter()
     for p, q in [(1, 12), (1, 6), (1, 4), (1, 3)]:
         res, _ = searched[(p, q)]
-        report = verify_period_contraction(Angle(p, q), res.beta_u, trials=10_000, seed=7000 + q)
+        report = scalar_period_check(Angle(p, q), res.beta_u, trials=10_000, seed=7000 + q)
         assert report.upper_violations == 0, f"theta={p}/{q}: {report}"
         assert report.lower_violations == 0, f"theta={p}/{q}: {report}"
     elapsed = time.perf_counter() - start

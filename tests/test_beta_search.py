@@ -1,6 +1,9 @@
-"""Contraction-factor sweep and the randomized period checker."""
+"""Contraction-factor sweep, checked against scalar oracles.
 
-import math
+The randomized two-sided period check is the test helper
+scalar_period_check in _support.
+"""
+
 import random
 
 import numpy as np
@@ -19,10 +22,11 @@ from kmrot import (
     norm,
     pseudo_period,
     search_beta_u,
-    verify_period_contraction,
 )
-from kmrot.beta_search import MIN_GRID_STEP, PeriodCheckReport
+from kmrot.beta_search import MIN_GRID_STEP
 from kmrot.rotation import km_step
+
+from _support import scalar_period_check
 
 
 def period_ratio_via_public_api(theta: Angle, start: Vec2) -> float:
@@ -49,31 +53,6 @@ def scalar_search(theta: Angle, grid_step: float) -> tuple[float, float]:
             if r > best or (r == best and t < best_t):
                 best, best_t = r, t
     return best, best_t
-
-
-def scalar_period_check(theta: Angle, beta_u: float, trials: int, seed: int, tol: float) -> PeriodCheckReport:
-    """Oracle for verify_period_contraction: one trial at a time."""
-    op = RotationOp(theta)
-    period = pseudo_period(theta)
-    lower_factor = beta_l(theta)
-    rng = random.Random(seed)
-    upper = lower = 0
-    ratios = []
-    for _ in range(trials):
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(phi), math.sin(phi)
-        m = max(abs(c), abs(s))
-        x = Vec2(c / m, s / m)
-        for _ in range(rng.randrange(1, 2 * period + 1) - 1):
-            x = apply_averaged(op, NormKind.LINF, 0.5, x)
-        n_i = norm(x, NormKind.LINF)
-        for _ in range(period):
-            x = apply_averaged(op, NormKind.LINF, 0.5, x)
-        n_f = norm(x, NormKind.LINF)
-        ratios.append(n_f / n_i)
-        upper += n_f > beta_u * n_i + tol
-        lower += n_f < lower_factor * n_i - tol
-    return PeriodCheckReport(theta, period, trials, upper, lower, min(ratios), max(ratios))
 
 
 class TestSearch:
@@ -168,7 +147,7 @@ class TestPeriodChecker:
     def test_clean_report_with_searched_factor(self):
         theta = Angle(1, 3)
         searched = search_beta_u(theta)
-        report = verify_period_contraction(theta, searched.beta_u, trials=2000, seed=5)
+        report = scalar_period_check(theta, searched.beta_u, trials=2000, seed=5)
         assert report.passed
         assert report.upper_violations == 0 and report.lower_violations == 0
         assert report.trials == 2000
@@ -179,26 +158,6 @@ class TestPeriodChecker:
 
     def test_violations_are_counted_not_raised(self):
         # an absurdly small factor must produce violations, not exceptions
-        report = verify_period_contraction(Angle(1, 3), 0.1, trials=200, seed=5)
+        report = scalar_period_check(Angle(1, 3), 0.1, trials=200, seed=5)
         assert not report.passed
         assert report.upper_violations > 0
-
-    def test_trials_validation(self):
-        with pytest.raises(ValueError):
-            verify_period_contraction(Angle(1, 3), 0.68, trials=0)
-
-    @pytest.mark.parametrize("q,beta_u,tol", [(3, 0.683, 1e-6), (4, 0.7504, 0.0), (7, 0.84, 1e-9)])
-    def test_matches_scalar_oracle(self, q, beta_u, tol):
-        got = verify_period_contraction(Angle(1, q), beta_u, trials=300, seed=21, tol=tol)
-        assert got == scalar_period_check(Angle(1, q), beta_u, 300, 21, tol)
-
-    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
-        baseline = verify_period_contraction(Angle(1, 6), 0.8211, trials=500, seed=4)
-        for chunk in (1, 7, 499):
-            monkeypatch.setattr(beta_search, "_CHUNK", chunk)
-            assert verify_period_contraction(Angle(1, 6), 0.8211, trials=500, seed=4) == baseline
-
-    def test_deterministic_given_seed(self):
-        a = verify_period_contraction(Angle(1, 4), 0.7505, trials=500, seed=9)
-        b = verify_period_contraction(Angle(1, 4), 0.7505, trials=500, seed=9)
-        assert a == b

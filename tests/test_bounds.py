@@ -241,9 +241,12 @@ class TestLinfBound:
         with pytest.raises(ValueError, match="beta_u must lie in"):
             linf_bound(Angle(1, 5), 0.5, 3.0, 5, beta_u=1.2)
 
-    def test_bad_contraction_factor_rejected(self):
-        with pytest.raises(ValueError):
-            linf_bound(Angle(1, 4), 0.5, 1.0, 5, beta_u=1.2)
+    @pytest.mark.parametrize("beta_u", [1.2, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("p, q", [(1, 4), (1, 2), (3, 4), (1, 1), (5, 4)])
+    def test_bad_contraction_factor_rejected(self, p, q, beta_u):
+        # a given factor is checked at every angle, also where the angle's own factor is used
+        with pytest.raises(ValueError, match="beta_u must lie in"):
+            linf_bound(Angle(p, q), 0.5, 1.0, 5, beta_u=beta_u)
 
     def test_non_increasing_values(self):
         for curve in (

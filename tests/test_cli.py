@@ -588,6 +588,16 @@ class TestTracedNames:
         if name == "run_km":
             assert calls[0][4] == 3  # the tracer counts steps from the 5th positional argument
 
+    def test_kernel_probe_runs(self, monkeypatch):
+        # the probe builds a RotationOp and times apply_averaged under both norms
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+        import layers
+
+        monkeypatch.setattr(layers, "KERNEL_LOOP", 1)
+        monkeypatch.setattr(layers, "KERNEL_REPEATS", 1)
+        found = layers._kernel_ns(rotation)
+        assert set(found) == {"rotation.apply_averaged_l2_ns", "rotation.apply_averaged_linf_ns"}
+
 
 class TestModuleEntry:
     def test_python_dash_m_runs_and_is_deterministic(self):
@@ -662,3 +672,9 @@ class TestStartup:
             obj = getattr(obj, part)
         hints = typing.get_type_hints(obj, _type_checking_namespace(module))
         assert any("numpy" in str(hint) for hint in hints.values())
+
+
+class TestPublicApi:
+    def test_all_names_resolve_once(self):
+        assert len(set(kmrot.__all__)) == len(kmrot.__all__)
+        assert [name for name in kmrot.__all__ if not hasattr(kmrot, name)] == []

@@ -22,8 +22,6 @@ from kmrot import (
     apply_averaged,
     gamma,
     norm,
-    normalized_rotate,
-    rotate,
     sin_cos_pi,
 )
 from kmrot.bounds import mu
@@ -46,11 +44,15 @@ normal_coords = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
 SQRT2 = math.sqrt(2.0)
 
 
-def _rotation_stays_normal(op, x):
-    """True when no product or sum in rotate(op, x) rounds to a subnormal."""
-    c, s = op.cos_theta, op.sin_theta
-    rx = rotate(op, x)
-    steps = (c * x.x1, s * x.x2, s * x.x1, c * x.x2, rx.x1, rx.x2)
+def _cs(a: Angle) -> tuple[float, float]:
+    """(cos(theta), sin(theta)), in the order turn takes them."""
+    s, c = sin_cos_pi(a.fraction)
+    return c, s
+
+
+def _rotation_stays_normal(c, s, x1, x2):
+    """True when no product or sum in turn(c, s, x1, x2, False) rounds to a subnormal."""
+    steps = (c * x1, s * x2, s * x1, c * x2, *turn(c, s, x1, x2, False))
     return all(v == 0.0 or abs(v) >= sys.float_info.min for v in steps)
 
 
@@ -114,24 +116,24 @@ class TestTrig:
 
 class TestRotate:
     def test_quarter_turn(self):
-        assert rotate(RotationOp(Angle(1, 2)), Vec2(1.0, 0.0)) == Vec2(0.0, 1.0)
+        assert turn(*_cs(Angle(1, 2)), 1.0, 0.0, False) == (0.0, 1.0)
 
     def test_half_turn_negates(self):
-        assert rotate(RotationOp(Angle(1, 1)), Vec2(10.0, 30.0)) == Vec2(-10.0, -30.0)
+        assert turn(*_cs(Angle(1, 1)), 10.0, 30.0, False) == (-10.0, -30.0)
 
     def test_eighth_turn(self):
-        out = rotate(RotationOp(Angle(1, 4)), Vec2(1.0, 0.0))
-        assert out == Vec2(math.sqrt(0.5), math.sqrt(0.5))
+        out = turn(*_cs(Angle(1, 4)), 1.0, 0.0, False)
+        assert out == (math.sqrt(0.5), math.sqrt(0.5))
 
     @given(angles, vectors)
     def test_preserves_l2_norm(self, a, x):
-        out = rotate(RotationOp(a), x)
+        out = Vec2(*turn(*_cs(a), x.x1, x.x2, False))
         assert norm(out, NormKind.L2) == pytest.approx(norm(x, NormKind.L2), rel=1e-12, abs=1e-12)
 
     @given(angles, vectors, vectors)
     @example(Angle(1, 4), Vec2(281700.0, 0.0), Vec2(281701.0, 0.0))
     def test_l2_nonexpansive(self, a, x, y):
-        # Forward error, u = 2^-53 (Higham 2002, ch. 3).  The cached c and s
+        # Forward error, u = 2^-53 (Higham 2002, ch. 3).  The values c and s
         # are within 6u of cos and sin: under 3.4u from rounding pi * t to
         # an argument in [0, pi/4], and 2u for a libm result within one ulp
         # (assumed).  So the computed matrix has norm <= 1 + 6u.  Each
@@ -140,9 +142,9 @@ class TestRotate:
         # differences and hypot add 3u relative on each side.  Together
         # lhs <= rhs + 15u (||x|| + ||y||); c = 16 also covers the rounding
         # of the right-hand side below.
-        op = RotationOp(a)
-        rx, ry = rotate(op, x), rotate(op, y)
-        lhs = math.hypot(rx.x1 - ry.x1, rx.x2 - ry.x2)
+        c, s = _cs(a)
+        rx, ry = turn(c, s, x.x1, x.x2, False), turn(c, s, y.x1, y.x2, False)
+        lhs = math.hypot(rx[0] - ry[0], rx[1] - ry[1])
         rhs = math.hypot(x.x1 - y.x1, x.x2 - y.x2)
         u = 2.0**-53
         assert lhs <= rhs + 16 * u * (norm(x, NormKind.L2) + norm(y, NormKind.L2))
@@ -170,33 +172,33 @@ class TestNorm:
 
 class TestGamma:
     def test_eighth_turn_from_axis(self):
-        g = gamma(RotationOp(Angle(1, 4)), Vec2(1.0, 0.0))
+        g = gamma(*_cs(Angle(1, 4)), 1.0, 0.0)
         assert g == pytest.approx(SQRT2, rel=1e-12)
 
     def test_quarter_turn_is_identity_factor(self):
-        op = RotationOp(Angle(1, 2))
+        c, s = _cs(Angle(1, 2))
         rng = random.Random(5)
         for _ in range(50):
             x = Vec2(rng.uniform(-9, 9), rng.uniform(-9, 9))
-            if x.is_zero():
+            if x.x1 == x.x2 == 0.0:
                 continue
-            assert gamma(op, x) == 1.0
+            assert gamma(c, s, x.x1, x.x2) == 1.0
 
     def test_third_turn_hand_value(self):
-        g = gamma(RotationOp(Angle(1, 3)), Vec2(1.0, 2.0))
+        g = gamma(*_cs(Angle(1, 3)), 1.0, 2.0)
         assert g == pytest.approx(2.0 / (math.sqrt(3.0) / 2.0 + 1.0), rel=1e-15)
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):
-            gamma(RotationOp(Angle(1, 4)), Vec2(0.0, 0.0))
+            gamma(*_cs(Angle(1, 4)), 0.0, 0.0)
 
     @given(angles, vectors)
     @example(Angle(1, 4), Vec2(5e-324, 5e-324))
     @example(Angle(1, 4), Vec2(1.5e-323, 0.0))
     def test_range(self, a, x):
-        if x.is_zero():
+        if x.x1 == x.x2 == 0.0:
             return
-        g = gamma(RotationOp(a), x)
+        g = gamma(*_cs(a), x.x1, x.x2)
         assert SQRT2 / 2 - 1e-12 <= g <= SQRT2 + 1e-12
 
     @given(angles, st.builds(Vec2, normal_coords, normal_coords))
@@ -207,23 +209,23 @@ class TestGamma:
         # the rotation rounds to a subnormal, with or without the scaling; near
         # the subnormal range (e.g. x = (-4.04e-308, 3.66e-308) at 57pi/41) the
         # two formulas differ in the last bit
-        if x.is_zero():
+        if x.x1 == x.x2 == 0.0:
             return
-        op = RotationOp(a)
+        c, s = _cs(a)
         e = -math.frexp(max(abs(x.x1), abs(x.x2)))[1]
-        scaled = Vec2(math.ldexp(x.x1, e), math.ldexp(x.x2, e))
-        if not (_rotation_stays_normal(op, x) and _rotation_stays_normal(op, scaled)):
+        scaled = (math.ldexp(x.x1, e), math.ldexp(x.x2, e))
+        if not (_rotation_stays_normal(c, s, x.x1, x.x2) and _rotation_stays_normal(c, s, *scaled)):
             return
-        rx = rotate(op, x)
-        assert gamma(op, x) == max(abs(x.x1), abs(x.x2)) / max(abs(rx.x1), abs(rx.x2))
+        rx = turn(c, s, x.x1, x.x2, False)
+        assert gamma(c, s, x.x1, x.x2) == max(abs(x.x1), abs(x.x2)) / max(abs(rx[0]), abs(rx[1]))
 
     @pytest.mark.parametrize("p, q, x", [(1, 4, Vec2(1e6, 3e-308)), (1, 2, Vec2(-2.5e-308, 7.0))])
     def test_prescaling_mixed_scales(self, p, q, x):
         # a tiny coordinate next to a large one: its products are subnormal in
         # one formula or both, but far below the last bit of the larger one
-        op = RotationOp(Angle(p, q))
-        rx = rotate(op, x)
-        assert gamma(op, x) == max(abs(x.x1), abs(x.x2)) / max(abs(rx.x1), abs(rx.x2))
+        c, s = _cs(Angle(p, q))
+        rx = turn(c, s, x.x1, x.x2, False)
+        assert gamma(c, s, x.x1, x.x2) == max(abs(x.x1), abs(x.x2)) / max(abs(rx[0]), abs(rx[1]))
 
     def test_range_bulk_sweep(self):
         # module invariant: 1e5 random (theta, x) pairs stay inside [sqrt2/2, sqrt2]
@@ -233,59 +235,62 @@ class TestGamma:
             q = rng.randint(1, 64)
             p = rng.randint(1, 2 * q - 1)
             x = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
-            if x.is_zero():
+            if x.x1 == x.x2 == 0.0:
                 continue
-            assert lo <= gamma(RotationOp(Angle(p, q)), x) <= hi
+            assert lo <= gamma(*_cs(Angle(p, q)), x.x1, x.x2) <= hi
 
 
 class TestNormalizedRotate:
+    """turn with the max-norm rescale: T(x) = gamma * Rx."""
+
     def test_expansion_counterexample_is_exact(self):
         # at an eighth turn the rescaled rotation expands the max-norm gap
         # between the two unit axis points from 1 to exactly 2
-        op = RotationOp(Angle(1, 4))
-        ix = normalized_rotate(op, Vec2(1.0, 0.0))
-        iy = normalized_rotate(op, Vec2(0.0, 1.0))
-        assert ix == Vec2(1.0, 1.0)
-        assert iy == Vec2(-1.0, 1.0)
-        gap = max(abs(ix.x1 - iy.x1), abs(ix.x2 - iy.x2))
+        c, s = _cs(Angle(1, 4))
+        ix = turn(c, s, 1.0, 0.0, True)
+        iy = turn(c, s, 0.0, 1.0, True)
+        assert ix == (1.0, 1.0)
+        assert iy == (-1.0, 1.0)
+        gap = max(abs(ix[0] - iy[0]), abs(ix[1] - iy[1]))
         assert gap == 2.0
         assert gap > max(abs(1.0 - 0.0), abs(0.0 - 1.0)) == 1.0
 
     def test_no_expansion_on_theta_set(self):
         rng = random.Random(17)
         for p, q in [(1, 2), (1, 1)]:
-            op = RotationOp(Angle(p, q))
+            c, s = _cs(Angle(p, q))
             for _ in range(2000):
                 x = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
                 y = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-                if x.is_zero() or y.is_zero():
+                if x.x1 == x.x2 == 0.0 or y.x1 == y.x2 == 0.0:
                     continue
-                ix, iy = normalized_rotate(op, x), normalized_rotate(op, y)
-                lhs = max(abs(ix.x1 - iy.x1), abs(ix.x2 - iy.x2))
+                ix, iy = turn(c, s, x.x1, x.x2, True), turn(c, s, y.x1, y.x2, True)
+                lhs = max(abs(ix[0] - iy[0]), abs(ix[1] - iy[1]))
                 rhs = max(abs(x.x1 - y.x1), abs(x.x2 - y.x2))
                 assert lhs <= rhs + 1e-12
 
     @given(angles, vectors)
     def test_matches_gamma_scaling(self, a, x):
-        if x.is_zero():
+        if x.x1 == x.x2 == 0.0:
             return
-        op = RotationOp(a)
-        g = gamma(op, x)
-        rx = rotate(op, x)
-        out = normalized_rotate(op, x)
-        assert out.x1 == pytest.approx(g * rx.x1, rel=1e-12, abs=1e-12)
-        assert out.x2 == pytest.approx(g * rx.x2, rel=1e-12, abs=1e-12)
+        c, s = _cs(a)
+        g = gamma(c, s, x.x1, x.x2)
+        rx = turn(c, s, x.x1, x.x2, False)
+        out = turn(c, s, x.x1, x.x2, True)
+        assert out[0] == pytest.approx(g * rx[0], rel=1e-12, abs=1e-12)
+        assert out[1] == pytest.approx(g * rx[1], rel=1e-12, abs=1e-12)
 
     @given(angles, vectors)
     def test_preserves_max_norm(self, a, x):
-        if x.is_zero():
+        if x.x1 == x.x2 == 0.0:
             return
-        out = normalized_rotate(RotationOp(a), x)
+        out = Vec2(*turn(*_cs(a), x.x1, x.x2, True))
         assert norm(out, NormKind.LINF) == pytest.approx(norm(x, NormKind.LINF), rel=1e-12)
 
     def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVectorError):
-            normalized_rotate(RotationOp(Angle(1, 3)), Vec2(0.0, 0.0))
+        # the rescale is 0/0 at the origin; the averaged steps map it to itself
+        with pytest.raises(ZeroDivisionError):
+            turn(*_cs(Angle(1, 3)), 0.0, 0.0, True)
 
 
 class TestApplyAveraged:
