@@ -20,9 +20,8 @@ it starts without loading numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import OutOfRangeError
 from .rotation import Angle, Vec2, km_step, sin_cos_pi, tan_pi
@@ -51,8 +50,7 @@ MAX_GRID_STEP = 1e-3
 MAX_SEARCH_STEPS = 2**31
 
 
-@dataclass(frozen=True)
-class BetaSearchResult:
+class BetaSearchResult(NamedTuple):
     theta: Angle
     period: int
     beta_u: float

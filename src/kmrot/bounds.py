@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .beta_search import pseudo_period, search_beta_u
 from .errors import NonFiniteError, UnstableError, UnsupportedAlphaError, check_alpha
@@ -42,8 +42,7 @@ class _Curve(Sequence):
         return map(self._value, self._ks)
 
 
-@dataclass(frozen=True)
-class BoundCurve:
+class BoundCurve(NamedTuple):
     """Upper-bound values per iterate; values[0] is D = dist(x_1, 0), or D^2 for noise_bound."""
 
     values: Sequence[float]

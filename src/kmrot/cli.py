@@ -240,7 +240,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main, flush stdout and stderr, and leave without interpreter teardown.
+
+    The table is already written and any --out file closed.  argparse's
+    SystemExit (--help, usage errors) and any other exception take the
+    normal exit path.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when Python started with that descriptor closed
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

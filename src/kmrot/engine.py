@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import NonFiniteError, check_alpha
 from .rotation import Angle, NormKind, Vec2, averaged_step, norm, sin_cos_pi
@@ -21,8 +21,7 @@ class ScheduleKind(enum.Enum):
     INV_K = "invk"
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(namedtuple("Schedule", "kind alpha")):
     """Step-size rule alpha_k.
 
     Decaying rules exceed 1 for small k (1/log at k = 1, 1/sqrt(k) and 1/k
@@ -30,14 +29,14 @@ class Schedule:
     so emitted values are clipped to CLIP_MAX < 1.
     """
 
-    kind: ScheduleKind
-    alpha: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is ScheduleKind.CONSTANT:
-            check_alpha(self.alpha)
-        elif self.alpha is not None:
-            raise ValueError(f"{self.kind.value} schedule takes no alpha")
+    def __new__(cls, kind: ScheduleKind, alpha: float | None = None) -> Schedule:
+        if kind is ScheduleKind.CONSTANT:
+            check_alpha(alpha)
+        elif alpha is not None:
+            raise ValueError(f"{kind.value} schedule takes no alpha")
+        return super().__new__(cls, kind, alpha)
 
 
 def step_size(s: Schedule, k: int) -> float:

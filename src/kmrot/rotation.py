@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -77,22 +77,19 @@ def tan_pi(t: Fraction) -> float:
     return s / c
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(namedtuple("Angle", "p q")):
     """Rotation angle theta = (p/q)*pi with 0 < p/q < 2, stored in lowest terms."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError(f"angle numerator and denominator must be positive: {self.p}/{self.q}")
-        g = math.gcd(self.p, self.q)
-        if g > 1:
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
-        if self.p >= 2 * self.q:
-            raise ValueError(f"angle must lie in (0, 2)*pi: got {self.p}/{self.q}*pi")
+    def __new__(cls, p: int, q: int) -> Angle:
+        if p <= 0 or q <= 0:
+            raise ValueError(f"angle numerator and denominator must be positive: {p}/{q}")
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        if p >= 2 * q:
+            raise ValueError(f"angle must lie in (0, 2)*pi: got {p}/{q}*pi")
+        return super().__new__(cls, p, q)
 
     @classmethod
     def parse(cls, text: str) -> Angle:
@@ -127,20 +124,18 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
-@dataclass(frozen=True)
-class Vec2:
+class Vec2(namedtuple("Vec2", "x1 x2")):
     """A point in the plane.  Coordinates must be finite."""
 
-    x1: float
-    x2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x1) and math.isfinite(self.x2)):
-            raise NonFiniteError(f"coordinates must be finite: ({self.x1}, {self.x2})")
+    def __new__(cls, x1: float, x2: float) -> Vec2:
+        if not (math.isfinite(x1) and math.isfinite(x2)):
+            raise NonFiniteError(f"coordinates must be finite: ({x1}, {x2})")
+        return super().__new__(cls, x1, x2)
 
 
-@dataclass(frozen=True)
-class RotationOp:
+class RotationOp(namedtuple("RotationOp", "angle cos_theta sin_theta")):
     """Counter-clockwise rotation by a rational multiple of pi, trig values cached.
 
     The induced matrix is [[cos, -sin], [sin, cos]]; it is orthogonal and its
@@ -148,17 +143,17 @@ class RotationOp:
     squared-norm recursion exact under the Euclidean norm.  It exists for
     apply_averaged, whose per-call time the benchmark's kernel probe
     measures; the library's own paths call turn, averaged_step and km_step
-    on (c, s) directly.
+    on (c, s) directly.  Built from the angle alone.
     """
 
-    angle: Angle
-    cos_theta: float = field(init=False)
-    sin_theta: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        s, c = sin_cos_pi(self.angle.fraction)
-        object.__setattr__(self, "sin_theta", s)
-        object.__setattr__(self, "cos_theta", c)
+    def __new__(cls, angle: Angle) -> RotationOp:
+        s, c = sin_cos_pi(angle.fraction)
+        return super().__new__(cls, angle, c, s)
+
+    def __getnewargs__(self) -> tuple[Angle]:
+        return (self.angle,)
 
 
 def turn(c: float, s: float, x1: float | np.ndarray, x2: float | np.ndarray, linf: bool,

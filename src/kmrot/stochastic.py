@@ -29,9 +29,9 @@ build an array, so they start without loading numpy.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import BoundCurve, noise_bound
 from .errors import NonFiniteError, UnstableError, check_alpha
@@ -49,45 +49,37 @@ _LIMB = 5  # bins per int64 limb of the fold
 _UNIT = 1073 + 53  # frexp exponents are >= -1073, so 2^-_UNIT divides every x
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(namedtuple("NoiseParams", "a b")):
     """Affine second-moment parameters: E||w||^2 = a + b * ||x||^2.
 
     a is the additive noise floor, b scales with the squared state norm.
     a = 0 with b = 0 degenerates to the noiseless iteration.
     """
 
-    a: float
-    b: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise NonFiniteError(f"noise parameters must be finite: a={self.a}, b={self.b}")
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError(f"noise parameters must be >= 0: a={self.a}, b={self.b}")
-
-
-@dataclass(frozen=True)
-class McConfig:
-    theta: Angle
-    alpha: float
-    x1: Vec2
-    noise: NoiseParams
-    replicas: int
-    steps: int
-    seed: int
-    norm_kind: NormKind = NormKind.L2
-
-    def __post_init__(self) -> None:
-        check_alpha(self.alpha)
-        if self.replicas < 1 or self.steps < 1:
-            raise ValueError(f"replicas and steps must be >= 1: got {self.replicas}, {self.steps}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer: got {self.seed}")
+    def __new__(cls, a: float, b: float = 0.0) -> NoiseParams:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise NonFiniteError(f"noise parameters must be finite: a={a}, b={b}")
+        if a < 0.0 or b < 0.0:
+            raise ValueError(f"noise parameters must be >= 0: a={a}, b={b}")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class McResult:
+class McConfig(namedtuple("McConfig", "theta alpha x1 noise replicas steps seed norm_kind")):
+    __slots__ = ()
+
+    def __new__(cls, theta: Angle, alpha: float, x1: Vec2, noise: NoiseParams, replicas: int, steps: int,
+                seed: int, norm_kind: NormKind = NormKind.L2) -> McConfig:
+        check_alpha(alpha)
+        if replicas < 1 or steps < 1:
+            raise ValueError(f"replicas and steps must be >= 1: got {replicas}, {steps}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must fit in an unsigned 64-bit integer: got {seed}")
+        return super().__new__(cls, theta, alpha, x1, noise, replicas, steps, seed, norm_kind)
+
+
+class McResult(NamedTuple):
     """Per-step mean of the squared norm with its standard error.
 
     bound is the mean-square curve when one exists (Euclidean norm, stable

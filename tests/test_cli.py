@@ -1,11 +1,13 @@
 """CLI behavior: CSV output, exit codes, determinism, round-trips."""
 
 import ast
+import copy
 import inspect
 import io
 import itertools
 import math
 import os
+import pickle
 import shlex
 import subprocess
 import sys
@@ -21,8 +23,15 @@ import kmrot.rotation as rotation
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
+    BetaSearchResult,
+    BoundCurve,
+    InvalidAlphaError,
+    McConfig,
+    McResult,
+    NoiseParams,
     NonFiniteError,
     NormKind,
+    RotationOp,
     Schedule,
     ScheduleKind,
     Vec2,
@@ -545,16 +554,24 @@ def _same_bytes_lines() -> list[str]:
 
 
 class TestSameBytesPins:
-    """Each command line of tools/same_bytes.txt gets past argparse.
+    """Each command line of tools/same_bytes.txt gets past argparse, or ends in it as pinned here.
 
     A mistyped line exits 2 the same way under both checkouts, so it would
-    read SAME and test nothing.
+    read SAME and test nothing.  The lines that test argparse's own exits
+    are the --help lines (exit 0) and those of ARGPARSE_EXITS.
     """
+
+    ARGPARSE_EXITS = {"simulate --theta 1/4 --steps 0": 2}
 
     @pytest.mark.parametrize("line", _same_bytes_lines())
     def test_line_parses(self, line):
         argv = shlex.split(line)
-        assert cli.build_parser().parse_args(argv).command == argv[0]
+        if "--help" not in argv and line not in self.ARGPARSE_EXITS:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
+            return
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        assert info.value.code == self.ARGPARSE_EXITS.get(line, 0)
 
 
 class TestTracedNames:
@@ -610,6 +627,41 @@ class TestModuleEntry:
         assert first.stdout.decode().splitlines()[0] == "k,x1,x2,norm_value,bound_value"
         assert b"\r" not in first.stdout
 
+    # One case per way the process ends: main returns 0 (a table of three
+    # write blocks, to stdout or to --out), 2 (parser.error) or 3, each
+    # followed by os._exit; or argparse raises SystemExit (--help).
+    @pytest.mark.parametrize("line, to_file, code", [
+        ("simulate --theta 1/12 --norm linf --steps 2500", False, 0),
+        ("simulate --theta 1/12 --norm linf --steps 2500", True, 0),
+        ("simulate --theta 1/4 --schedule invk --alpha 0.3 --steps 5", False, 2),
+        ("simulate --theta 1/6 --norm linf --x1 1.5e308,1.5e308 --steps 3", False, 3),
+        ("search-beta --help", False, 0),
+    ])
+    def test_process_ends_with_every_byte_main_wrote(self, line, to_file, code, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width
+        path = tmp_path / "out.csv"
+        argv = line.split() + (["--out", str(path)] if to_file else [])
+        expected = run_cli(argv, capsys)
+        written = path.read_bytes() if to_file else None
+        if to_file:
+            path.unlink()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kmrot.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "kmrot", *argv], capture_output=True, env=env)
+        assert expected[0] == code
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+        assert (path.read_bytes() if to_file else None) == written
+
+    def test_entrypoint_leaves_through_os_exit(self, monkeypatch, tmp_path):
+        # stdout None is a process started with descriptor 1 closed; --out still works
+        exits = []
+        path = tmp_path / "out.csv"
+        monkeypatch.setattr(sys, "argv", ["kmrot", "bound", "--theta", "1/3", "--steps", "3", "--out", str(path)])
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(os, "_exit", exits.append)
+        cli.entrypoint()
+        assert exits == [0]
+        assert path.read_bytes().startswith(b"k,bound_value\n1,31.622776601683793\n")
+
 
 # Imports kmrot, runs main on each argument line with stdout discarded, and
 # prints whether numpy was loaded after the import and after each command.
@@ -635,7 +687,7 @@ def _type_checking_namespace(module) -> dict:
 
 
 class TestStartup:
-    """simulate and bound build no array, so they start and run without numpy."""
+    """simulate and bound build no array, so they start and run without numpy; import loads no dataclasses."""
 
     NO_ARRAYS = [
         "simulate --theta 1/12 --steps 30",
@@ -646,6 +698,12 @@ class TestStartup:
         # pi/1000 is not in the table, but no row reaches past T = 1000
         "bound --theta 1/1000 --norm linf --steps 3",
     ]
+
+    def test_import_loads_neither_dataclasses_nor_numpy(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kmrot.__file__)))
+        probe = "import sys, kmrot, kmrot.cli; print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv", [
         "search-beta --theta 1/3 --grid-step 1e-3",
@@ -678,3 +736,75 @@ class TestPublicApi:
     def test_all_names_resolve_once(self):
         assert len(set(kmrot.__all__)) == len(kmrot.__all__)
         assert [name for name in kmrot.__all__ if not hasattr(kmrot, name)] == []
+
+
+def _config(alpha=0.5, replicas=5, steps=3, seed=7) -> McConfig:
+    return McConfig(Angle(1, 4), alpha, Vec2(1.0, 3.0), NoiseParams(2.0), replicas, steps, seed)
+
+
+class TestRecords:
+    """The records are tuples with the fields, defaults, repr, immutability and checks of their first form."""
+
+    REPRS = [
+        (Angle(1, 12), "Angle(p=1, q=12)"),
+        (Vec2(1.0, 2.0), "Vec2(x1=1.0, x2=2.0)"),
+        (RotationOp(Angle(1, 2)), "RotationOp(angle=Angle(p=1, q=2), cos_theta=0.0, sin_theta=1.0)"),
+        (Schedule(ScheduleKind.INV_K), "Schedule(kind=<ScheduleKind.INV_K: 'invk'>, alpha=None)"),
+        (NoiseParams(2.0), "NoiseParams(a=2.0, b=0.0)"),
+        (_config(), "McConfig(theta=Angle(p=1, q=4), alpha=0.5, x1=Vec2(x1=1.0, x2=3.0), "
+                    "noise=NoiseParams(a=2.0, b=0.0), replicas=5, steps=3, seed=7, norm_kind=<NormKind.L2: 'l2'>)"),
+        (BetaSearchResult(Angle(1, 2), 2, 0.5, Vec2(0.0, 1.0), 0.001),
+         "BetaSearchResult(theta=Angle(p=1, q=2), period=2, beta_u=0.5, argmax_start=Vec2(x1=0.0, x2=1.0), "
+         "grid_step=0.001)"),
+        (BoundCurve((1.0, 0.5)), "BoundCurve(values=(1.0, 0.5))"),
+        (McResult((1.0,), (0.0,), None, True), "McResult(mean_sq_norm=(1.0,), std_err=(0.0,), bound=None, unstable=True)"),
+    ]
+
+    def test_angle_is_stored_in_lowest_terms_and_hashes_so(self):
+        assert Angle(2, 24) == Angle(1, 12)
+        assert hash(Angle(2, 24)) == hash(Angle(1, 12))
+        assert kmrot.REFERENCE_BETA_U[Angle(2, 24)] == 0.8974
+
+    @pytest.mark.parametrize("record, text", REPRS)
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record", [record for record, _ in REPRS])
+    def test_fields_cannot_be_assigned_or_added(self, record):
+        for name in type(record).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    @pytest.mark.parametrize("record", [record for record, _ in REPRS])
+    def test_pickle_and_copy_round_trip(self, record):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record
+
+    def test_records_are_tuples(self):
+        p, q = Angle(2, 24)
+        assert (p, q, Angle(1, 12)[1]) == (1, 12, 12)
+        assert Vec2(1.0, 2.0) == (1.0, 2.0)
+        assert Schedule(ScheduleKind.INV_K) == (ScheduleKind.INV_K, None)
+
+    # Checks that run first win: the sign check before the gcd, the range
+    # check on the reduced angle, finiteness before sign, alpha before counts.
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Angle(0, 1), ValueError, "angle numerator and denominator must be positive: 0/1"),
+        (lambda: Angle(-2, 4), ValueError, "angle numerator and denominator must be positive: -2/4"),
+        (lambda: Angle(4, 2), ValueError, "angle must lie in (0, 2)*pi: got 2/1*pi"),
+        (lambda: Vec2(math.inf, 1.0), NonFiniteError, "coordinates must be finite: (inf, 1.0)"),
+        (lambda: Schedule(ScheduleKind.CONSTANT), InvalidAlphaError, "alpha must lie in (0, 1): got None"),
+        (lambda: Schedule(ScheduleKind.INV_LOG, 0.5), ValueError, "invlog schedule takes no alpha"),
+        (lambda: NoiseParams(math.nan, -1.0), NonFiniteError, "noise parameters must be finite: a=nan, b=-1.0"),
+        (lambda: NoiseParams(1.0, -0.5), ValueError, "noise parameters must be >= 0: a=1.0, b=-0.5"),
+        (lambda: _config(alpha=1.0, replicas=0, seed=-1), InvalidAlphaError, "alpha must lie in (0, 1): got 1.0"),
+        (lambda: _config(replicas=0, seed=-1), ValueError, "replicas and steps must be >= 1: got 0, 3"),
+        (lambda: _config(seed=2**64), ValueError,
+         "seed must fit in an unsigned 64-bit integer: got 18446744073709551616"),
+    ])
+    def test_check_messages(self, build, error, message):
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
