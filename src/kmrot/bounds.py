@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .beta_search import pseudo_period, search_beta_u
-from .errors import NonFiniteError, UnstableError, UnsupportedAlphaError, check_alpha
+from .errors import NonFiniteError, UnstableError, UnsupportedAlphaError, check_alpha, check_count, check_finite_nonneg
 from .rotation import Angle, sin_cos_pi, tan_pi
 
 _HALF = Fraction(1, 2)
@@ -48,18 +48,6 @@ class BoundCurve(NamedTuple):
     values: Sequence[float]
 
 
-def _check_k_max(k_max: int) -> None:
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1: got {k_max}")
-
-
-def _check_initial(d: float, name: str = "initial distance") -> None:
-    if not math.isfinite(d):
-        raise NonFiniteError(f"{name} must be finite: got {d}")
-    if d < 0.0:
-        raise ValueError(f"{name} must be >= 0: got {d}")
-
-
 def mu(alpha: float, theta: Angle) -> float:
     """Exact one-step contraction factor of the squared Euclidean norm.
 
@@ -77,8 +65,8 @@ def mu(alpha: float, theta: Angle) -> float:
 def l2_bound(theta: Angle, alpha: float, d: float, k_max: int) -> BoundCurve:
     """Euclidean bound mu^((k-1)/2) * D; tight (the recursion is exact)."""
     g = mu(alpha, theta)
-    _check_k_max(k_max)
-    _check_initial(d)
+    check_count("k_max", k_max)
+    check_finite_nonneg("initial distance", d)
     return BoundCurve(_Curve(lambda k: g ** ((k - 1) / 2) * d, range(1, k_max + 1)))
 
 
@@ -102,8 +90,8 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
     A beta_u that is given must lie in (0, 1) at every angle.
     """
     check_alpha(alpha)
-    _check_k_max(k_max)
-    _check_initial(d)
+    check_count("k_max", k_max)
+    check_finite_nonneg("initial distance", d)
     if beta_u is not None and not 0.0 < beta_u < 1.0:
         raise ValueError(f"beta_u must lie in (0, 1): got {beta_u}")
     folded = theta.folded()
@@ -136,17 +124,16 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
     squared Euclidean norm, not the norm itself.  Raises NonFiniteError
     when a value overflows (or the overflowing tail turns it nan).
     """
-    _check_k_max(k_max)
-    _check_initial(d_sq, "initial squared distance")
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"noise parameters must be >= 0: a={a}, b={b}")
+    check_count("k_max", k_max)
+    check_finite_nonneg("initial squared distance", d_sq)
+    check_finite_nonneg("noise parameter a", a)
+    check_finite_nonneg("noise parameter b", b)
     m = mu(alpha, theta)
     rho = m + alpha * alpha * b
     if rho >= 1.0:
-        raise UnstableError(
-            f"mu + alpha^2*b = {rho} >= 1; the noise series diverges "
-            f"(need b < {(1.0 - m) / (alpha * alpha)})"
-        )
+        # alpha^2 underflows to 0 below about 1e-162, where mu rounds to 1
+        need = f" (need b < {(1.0 - m) / (alpha * alpha)})" if alpha * alpha > 0.0 else ""
+        raise UnstableError(f"mu + alpha^2*b = {rho} >= 1; the noise series diverges{need}")
     tail = a * alpha * alpha / (1.0 - rho)
     values = []
     for k in range(1, k_max + 1):

@@ -19,14 +19,14 @@ import os
 import sys
 from collections.abc import Iterable, Sequence
 from contextlib import nullcontext
-from itertools import chain, count, islice
+from itertools import count, islice
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
 from .bounds import l2_bound, linf_bound
 from .engine import Schedule, ScheduleKind, run_km
 from .errors import KmrotError
 from .rotation import Angle, NormKind, Vec2, norm
-from .stochastic import McConfig, NoiseParams, run_stochastic_km
+from .stochastic import MAX_MC_STEPS, McConfig, NoiseParams, run_stochastic_km
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -107,11 +107,9 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     header = "k,x1,x2,norm_value,bound_value\n"
     if kind is not ScheduleKind.CONSTANT:
         return header, ("%d,%.17g,%.17g,%.17g,\n" % (k, x1, x2, n) for k, (x1, x2, n) in zip(count(1), iterates))
-    # a non-finite iterate in the first block is reported before an error of the bound
-    head = list(islice(iterates, ROWS_PER_WRITE))
     bound = _bound_values(args, norm(args.x1, norm_kind), args.steps)
     return header, ("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, x1, x2, n, b)
-                    for k, (x1, x2, n), b in zip(count(1), chain(head, iterates), bound))
+                    for k, (x1, x2, n), b in zip(count(1), iterates, bound))
 
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
@@ -156,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, steps_help: str | None = None) -> None:
         p.add_argument("--theta", type=_angle_arg, required=True, metavar="P/Q",
                        help="rotation angle as a rational multiple of pi")
         p.add_argument("--alpha", type=_alpha_arg, default=0.5, help="step size in (0, 1)")
@@ -164,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=NormKind.L2.value)
         p.add_argument("--x1", type=_vec2_arg, default=Vec2(10.0, 30.0), metavar="A,B",
                        help="initial iterate")
-        p.add_argument("--steps", type=_count_arg, default=100)
+        p.add_argument("--steps", type=_count_arg, default=100, help=steps_help)
         p.add_argument("--out", default=None, metavar="PATH", help="output CSV path (default stdout)")
 
     sim = sub.add_parser("simulate", help="run an iteration and emit iterates, norms, and bound values")
@@ -191,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("mc", help="Monte Carlo runs of the noisy iteration, in up to one process per "
                         "available CPU; the output does not depend on how many")
-    add_common(mc)
+    add_common(mc, f"iterates recorded per replica, at most {MAX_MC_STEPS}")
     mc.add_argument("--A", type=_nonneg_arg, default=2.0, help="additive noise second moment")
     mc.add_argument("--B", type=_nonneg_arg, default=0.0,
                     help="state-proportional noise coefficient")

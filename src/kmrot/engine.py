@@ -7,7 +7,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import NonFiniteError, check_alpha
+from .errors import NonFiniteError, check_alpha, check_count, check_finite_nonneg
 from .rotation import Angle, NormKind, Vec2, averaged_step, norm, sin_cos_pi
 
 
@@ -65,11 +65,9 @@ def run_km(theta: Angle, norm_kind: NormKind, schedule: Schedule, x1: Vec2,
     non-finite coordinate (the rotation overflows within a factor sqrt(2)
     of the largest double).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1: got {steps}")
+    check_count("steps", steps)
     d = norm(x1, norm_kind)
-    if not math.isfinite(d):
-        raise NonFiniteError(f"initial norm must be finite: got {d}")
+    check_finite_nonneg("initial norm", d)
     s, c = sin_cos_pi(theta.fraction)
     linf = norm_kind is NormKind.LINF
     isfinite, hypot = math.isfinite, math.hypot  # local names: the loop runs once per CSV row

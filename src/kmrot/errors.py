@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one step-size check."""
+"""Exception types shared across the package, and the one check of each precondition."""
+
+import math
 
 
 class KmrotError(Exception):
@@ -21,6 +23,20 @@ def check_alpha(alpha: float | None) -> None:
     """Raise InvalidAlphaError unless 0 < alpha < 1; None and nan fail too."""
     if alpha is None or not 0.0 < alpha < 1.0:
         raise InvalidAlphaError(f"alpha must lie in (0, 1): got {alpha}")
+
+
+def check_count(name: str, n: int) -> None:
+    """Raise ValueError unless the count n is >= 1."""
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1: got {n}")
+
+
+def check_finite_nonneg(name: str, x: float) -> None:
+    """Raise NonFiniteError unless x is finite, then ValueError unless x >= 0."""
+    if not math.isfinite(x):
+        raise NonFiniteError(f"{name} must be finite: got {x}")
+    if x < 0.0:
+        raise ValueError(f"{name} must be >= 0: got {x}")
 
 
 class OutOfRangeError(KmrotError):

@@ -6,9 +6,11 @@ import csv
 import io
 import math
 import random
+from collections.abc import Sequence
+from fractions import Fraction
 from typing import NamedTuple
 
-from kmrot import Angle, BoundCurve, beta_l, pseudo_period, run_km, sin_cos_pi
+from kmrot import Angle, BoundCurve, McConfig, beta_l, mu, pseudo_period, run_km, sin_cos_pi
 from kmrot.cli import main
 from kmrot.rotation import averaged_step
 
@@ -33,6 +35,50 @@ def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# |mean - E r_k| allowed, in exact standard errors: bench/refcheck.py's Z_MC.
+# For a normal mean that fails with probability 2e-9 per step, 2e-6 over
+# 1000 steps.
+Z_MC = 6.0
+
+
+def mc_z_scores(cfg: McConfig, mean_sq_norm: Sequence[float]) -> list[float]:
+    """(mean_k - E r_k) / sqrt(Var r_k / replicas) per k, for r_k = ||x_k||_2^2 under `cfg`.
+
+    E r_k and Var r_k are exact rationals.  With y = ((1 - alpha) I + alpha R) x,
+    ||y||^2 = mu r for the program's double mu, and noise w ~ N(0, sigma^2 I)
+    with 2 sigma^2 = a + b r, the step gives r' = mu r + 2 alpha y.w
+    + alpha^2 ||w||^2.  Odd moments of w vanish, E (y.w)^2 = sigma^2 mu r,
+    E ||w||^2 = 2 sigma^2 and E ||w||^4 = 8 sigma^4, so
+        E r' = rho E r + alpha^2 a,  rho = mu + alpha^2 b,
+        E r'^2 = kappa E r^2 + 4 alpha^2 a (mu + alpha^2 b) E r + 2 alpha^4 a^2,
+    with kappa = mu^2 + 4 alpha^2 mu b + 2 alpha^4 b^2, started from the
+    program's double r_1 = x1^2 + x2^2.  Every input is a double, a dyadic
+    rational, so the recursion runs on integers p, q with E r_k = p / 2^(s k)
+    and E r_k^2 = q / 2^(2 s k): shifts and small multipliers, no gcd.
+    Where Var r_k = 0 the score is 0 for an exact mean and infinite otherwise.
+    """
+    m, alpha, a, b = map(Fraction, (mu(cfg.alpha, cfg.theta), cfg.alpha, cfg.noise.a, cfg.noise.b))
+    start = Fraction(cfg.x1.x1 * cfg.x1.x1 + cfg.x1.x2 * cfg.x1.x2)
+    al2 = alpha * alpha
+    first = (m + al2 * b, al2 * a, start)  # terms that scale by 2^s
+    second = (m * m + 4 * al2 * m * b + 2 * al2 * al2 * b * b, 4 * al2 * a * (m + al2 * b), 2 * al2 * al2 * a * a)
+    s = max([f.denominator.bit_length() - 1 for f in first] + [f.denominator.bit_length() // 2 for f in second])
+    rho, c1, p = (int(f * 2**s) for f in first)
+    kappa, lin, c2 = (int(f * 4**s) for f in second)
+    q = p * p
+    n = cfg.replicas
+    zs = []
+    for k, mean in enumerate(mean_sq_norm, 1):
+        num, den = mean.as_integer_ratio()
+        e = s * k
+        diff = (num << e) - p * den  # (mean - E r_k) * den * 2^(s k)
+        var = q - p * p  # Var r_k * 2^(2 s k)
+        z2 = diff * diff * n / (den * den * var) if var else (0.0 if diff == 0 else math.inf)
+        zs.append(math.sqrt(z2) if diff >= 0 else -math.sqrt(z2))
+        p, q = rho * p + (c1 << e), kappa * q + (lin * p << e) + (c2 << 2 * e)
+    return zs
 
 
 class Columns(NamedTuple):

@@ -273,6 +273,9 @@ class TestNoiseBound:
             noise_bound(Angle(1, 4), 0.5, 10.0, 0.1, 0.59, 10)
         with pytest.raises(UnstableError):
             noise_bound(Angle(1, 4), 0.5, 10.0, 2.0, 0.6, 10)
+        # alpha^2 underflows to 0, so mu rounds to 1 even without b
+        with pytest.raises(UnstableError, match=r"diverges$"):
+            noise_bound(Angle(1, 6), 1e-200, 1.0, 2.0, 0.0, 3)
 
     def test_geometric_series_limit(self):
         curve = noise_bound(Angle(1, 4), 0.5, 10.0, 2.0, 0.0, 2000)
@@ -301,6 +304,8 @@ class TestNoiseBound:
             noise_bound(Angle(1, 4), 0.5, 10.0, 1.0, -0.1, 5)
         with pytest.raises(ValueError):
             noise_bound(Angle(1, 4), 0.5, -1.0, 1.0, 0.0, 5)
+        with pytest.raises(NonFiniteError, match=r"^noise parameter b must be finite: got inf$"):
+            noise_bound(Angle(1, 4), 0.5, 10.0, 1.0, math.inf, 5)
 
 
 @pytest.mark.parametrize("d", [math.inf, math.nan])

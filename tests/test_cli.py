@@ -1,5 +1,6 @@
 """CLI behavior: CSV output, exit codes, determinism, round-trips."""
 
+import argparse
 import ast
 import copy
 import inspect
@@ -31,6 +32,7 @@ from kmrot import (
     NoiseParams,
     NonFiniteError,
     NormKind,
+    OutOfRangeError,
     RotationOp,
     Schedule,
     ScheduleKind,
@@ -201,11 +203,12 @@ class TestStreaming:
         assert (path.read_text() if out else stdout) == whole
         assert whole.count("\n") == 2 * self.BLOCK + 1
 
-    def test_first_block_is_stepped_before_the_bound_is_built(self, capsys):
+    def test_bound_is_built_before_the_first_step(self, capsys):
         # the max-norm bound at pi/6 takes only alpha = 0.5, and the first
-        # step overflows: the run reports the step, as when it ran first
+        # step overflows: the run reports the bound's check, which runs first
         argv = "simulate --theta 1/6 --norm linf --x1 1.5e308,1.5e308 --alpha 0.3 --steps 3000".split()
-        assert run_cli(argv, capsys) == (3, "", "error: coordinates must be finite: (1.0499999999999999e+308, nan)\n")
+        assert run_cli(argv, capsys) == (3, "", "error: the max-norm bound for theta = 1/6*pi is only derived "
+                                                "for alpha = 0.5: got 0.3\n")
 
     @pytest.mark.parametrize("good", [1, cli.ROWS_PER_WRITE - 1])
     @pytest.mark.parametrize("schedule", ["const", "invk"])  # invk: no bound, so no iterate is read before _write_csv
@@ -332,6 +335,17 @@ class TestMc:
         assert code == 0
         _, rows = parse_csv(out)
         assert all(r[3] == "" and r[4] == "1" for r in rows)
+
+    def test_alpha_whose_square_underflows_is_flagged_unstable(self, capsys):
+        code, out, err = run_cli("mc --theta 1/6 --alpha 1e-200 --replicas 5 --steps 3".split(), capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[3:] for r in rows] == [["", "1"]] * 3
+
+    @pytest.mark.parametrize("steps", [10**15, 2**64])
+    def test_steps_above_the_limit_exit_3_before_any_work(self, steps, capsys):
+        argv = f"mc --theta 1/6 --norm linf --replicas 5 --steps {steps}".split()
+        assert run_cli(argv, capsys) == (3, "", f"error: steps must be <= {stochastic.MAX_MC_STEPS}: got {steps}\n")
 
     def test_max_norm_mode_has_no_bound(self, capsys):
         code, out, _ = run_cli(
@@ -476,6 +490,64 @@ class TestNonFiniteState:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
+
+
+def _options() -> list[tuple[str, str]]:
+    """(subcommand, option) for every option of every subcommand but --help."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0]) for command, p in sub.choices.items()
+            for action in p._actions if action.option_strings and action.dest != "help"]
+
+
+class TestOptionSweep:
+    """Every option of every subcommand, given bad or extreme text, ends cleanly.
+
+    Clean: exit 0, 2 or 3, no traceback, and after a failure nothing on
+    stdout and an error line last on stderr.  No value starts a valid run
+    that does not end: none is a huge --steps for simulate or bound, or a
+    huge --replicas.
+    """
+
+    VALUES = ["", "text", "nan", "inf", "-inf", "-1", "0", "-0", "5e-324", "1e-400", "1e400",
+              "1.7976931348623157e308"]
+    FORMS = {"--x1": ["{}", "{},{}", "1,{}"], "--theta": ["{}", "{}/1", "1/{}"]}
+    BASES = {
+        "simulate": ["simulate --theta 1/6 --steps 3 --norm l2", "simulate --theta 1/6 --steps 3 --norm linf"],
+        "bound": ["bound --theta 1/6 --steps 3 --norm l2", "bound --theta 1/6 --steps 3 --norm linf"],
+        "search-beta": ["search-beta --theta 1/6"],
+        "mc": ["mc --theta 1/6 --replicas 5 --steps 3 --norm l2", "mc --theta 1/6 --replicas 5 --steps 3 --norm linf"],
+    }
+    # an alpha whose square underflows; step counts past the mc limit, under
+    # linf only, where nothing but the per-step totals grows with --steps
+    MC_CASES = ["mc --theta 1/6 --alpha 1e-200 --replicas 5 --steps 3",
+                "mc --theta 1/6 --norm linf --replicas 5 --steps 18446744073709551616",
+                "mc --theta 1/6 --norm linf --replicas 5 --steps 1000000000000000"]
+
+    @staticmethod
+    def problem(argv: list[str], capsys) -> str | None:
+        try:
+            code, out, err = run_cli(argv, capsys)
+        except Exception as exc:
+            capsys.readouterr()
+            return f"raised {type(exc).__name__}: {exc}"
+        last = err.splitlines()[-1] if err else ""
+        if code not in (0, 2, 3) or "Traceback" in err:
+            return f"exit {code}, stderr {err[-200:]!r}"
+        if code and (out or "error: " not in last):
+            return f"exit {code}, stdout {out[:80]!r}, last stderr line {last!r}"
+        return None
+
+    @pytest.mark.parametrize("command, option", _options())
+    def test_option_fails_cleanly(self, command, option, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # --out writes here
+        argvs = [base.split() + [f"{option}={form.format(value, value)}"]
+                 for base in self.BASES[command] for form in self.FORMS.get(option, ["{}"]) for value in self.VALUES]
+        problems = [(argv, self.problem(argv, capsys)) for argv in argvs]
+        assert [p for p in problems if p[1]] == []
+
+    @pytest.mark.parametrize("line", MC_CASES)
+    def test_mc_case_fails_cleanly(self, line, capsys):
+        assert self.problem(line.split(), capsys) is None
 
 
 class TestCsvBytes:
@@ -797,10 +869,12 @@ class TestRecords:
         (lambda: Vec2(math.inf, 1.0), NonFiniteError, "coordinates must be finite: (inf, 1.0)"),
         (lambda: Schedule(ScheduleKind.CONSTANT), InvalidAlphaError, "alpha must lie in (0, 1): got None"),
         (lambda: Schedule(ScheduleKind.INV_LOG, 0.5), ValueError, "invlog schedule takes no alpha"),
-        (lambda: NoiseParams(math.nan, -1.0), NonFiniteError, "noise parameters must be finite: a=nan, b=-1.0"),
-        (lambda: NoiseParams(1.0, -0.5), ValueError, "noise parameters must be >= 0: a=1.0, b=-0.5"),
+        (lambda: NoiseParams(math.nan, -1.0), NonFiniteError, "noise parameter a must be finite: got nan"),
+        (lambda: NoiseParams(1.0, -0.5), ValueError, "noise parameter b must be >= 0: got -0.5"),
         (lambda: _config(alpha=1.0, replicas=0, seed=-1), InvalidAlphaError, "alpha must lie in (0, 1): got 1.0"),
-        (lambda: _config(replicas=0, seed=-1), ValueError, "replicas and steps must be >= 1: got 0, 3"),
+        (lambda: _config(replicas=0, seed=-1), ValueError, "replicas must be >= 1: got 0"),
+        (lambda: _config(steps=stochastic.MAX_MC_STEPS + 1), OutOfRangeError,
+         f"steps must be <= {stochastic.MAX_MC_STEPS}: got {stochastic.MAX_MC_STEPS + 1}"),
         (lambda: _config(seed=2**64), ValueError,
          "seed must fit in an unsigned 64-bit integer: got 18446744073709551616"),
     ])
