@@ -19,11 +19,11 @@ result is independent of the order of blocks and of the worker count.
 Memory per process is O(_CHUNK * _STEPS) plus the per-step totals, for
 any replica or step count.  Each mean is the exact mean rounded once; each
 standard error is the square root of the exact sample variance rounded
-once.
+once.  A noise-free run (a = b = 0) has one path, which run_km steps once.
 
 numpy is imported by the functions that build arrays, not by the module:
-kmrot and its CLI import this module's names, and simulate and bound never
-build an array, so they start without loading numpy.
+kmrot and its CLI import this module's names, and simulate, bound and a
+noise-free mc never build an array, so they run without loading numpy.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import BoundCurve, noise_bound
+from .engine import Schedule, ScheduleKind, run_km
 from .errors import NonFiniteError, OutOfRangeError, UnstableError, check_alpha, check_count, check_finite_nonneg
 from .rotation import Angle, NormKind, Vec2, km_step, sin_cos_pi
 
@@ -133,13 +134,11 @@ class ExactSums:
     """
 
     def __init__(self, series: int, n: int) -> None:
-        import numpy as np
-
         self.n = n
         # units of 2^-_UNIT for x and 4^-_UNIT for x^2
         self._sx = [0] * series
         self._sxx = [0] * series
-        self._bad = np.zeros(series, np.int64)
+        self._bad = [0] * series
 
     def add(self, block: np.ndarray, first: int = 0) -> None:
         """Add samples: block[k] holds new samples of series first + k."""
@@ -152,7 +151,8 @@ class ExactSums:
             raise ValueError(f"at most {_ADD_SAMPLES} samples per add: got {count}")
         finite = np.isfinite(block)
         if not finite.all():
-            self._bad[first:first + len(block)] += count - finite.sum(axis=1)
+            for k, bad in enumerate((count - finite.sum(axis=1)).tolist(), first):
+                self._bad[k] += bad
             block = np.where(finite, block, 0.0)
         rows, done = max(1, _BLOCK // count), 0
         while done < len(block):
@@ -194,9 +194,8 @@ class ExactSums:
 
     def merge(self, other: ExactSums) -> None:
         """Add in the totals of `other`, which holds other samples of the same series."""
-        self._sx = [p + q for p, q in zip(self._sx, other._sx)]
-        self._sxx = [p + q for p, q in zip(self._sxx, other._sxx)]
-        self._bad += other._bad
+        pairs = (self._sx, other._sx), (self._sxx, other._sxx), (self._bad, other._bad)
+        self._sx, self._sxx, self._bad = ([p + q for p, q in zip(mine, theirs)] for mine, theirs in pairs)
 
     def moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-series mean and standard error of the mean.
@@ -209,11 +208,8 @@ class ExactSums:
         non-finite sample, naming the first such series k (counted from 1)
         and the count.
         """
-        import numpy as np
-
-        bad = np.flatnonzero(self._bad)
-        if bad.size:
-            k = int(bad[0])
+        k = next((k for k, bad in enumerate(self._bad) if bad), None)
+        if k is not None:
             raise NonFiniteError(f"squared norm not finite at k = {k + 1}: "
                                  f"{self._bad[k]} of {self.n} replicas")
         n = self.n
@@ -250,8 +246,7 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     normal pair per replica and step into the replica's own row, and steps
     after every record, so the step after the run's last record is computed
     and dropped.  A stream drawn in pieces gives the same numbers as one
-    draw.  Without noise (a = b = 0) no generator is built and nothing is
-    drawn.  Vectorized over the replicas; km_step is element-wise, so the
+    draw.  Vectorized over the replicas; km_step is element-wise, so the
     per-replica paths do not depend on the chunk or block bounds.
     """
     import numpy as np
@@ -261,9 +256,8 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     a, b = cfg.noise.a, cfg.noise.b
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
-    noisy = a > 0.0 or b > 0.0
 
-    rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)] if noisy else []
+    rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)]
     z = np.empty((m, min(_STEPS, steps), 2))
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
@@ -281,8 +275,7 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
                 sq[j] = x1 * x1 + x2 * x2
             if b > 0.0:
                 scale = np.sqrt((a + b * (x1 * x1 + x2 * x2 if linf else sq[j])) * 0.5)
-            w = (scale * z[:, j, 0], scale * z[:, j, 1]) if noisy else ()
-            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf, *w)
+            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf, scale * z[:, j, 0], scale * z[:, j, 1])
         yield first, sq
 
 
@@ -307,20 +300,14 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     process forks the others and adds in the totals they send back.
     Integer totals make every byte of the result independent of the worker
     count and of the chunk and block sizes.  Each mean is the exact mean
-    rounded once.  The Euclidean bound's initial-distance check runs before
-    the simulation.  A replica whose squared norm overflows or turns nan
-    raises NonFiniteError, a worker that sends no totals RuntimeError.
-    Every forked process is reaped, and killed first if the run fails.
+    rounded once.  Without noise (a = b = 0) all replicas follow one path,
+    which run_km steps once here, with no array and no fork: each mean is
+    its squared norm and each standard error 0.  The Euclidean bound's
+    initial-distance check runs before the simulation.  A replica whose
+    squared norm overflows or turns nan raises NonFiniteError, a worker
+    that sends no totals RuntimeError.  Every forked process is reaped, and
+    killed first if the run fails.
     """
-    # numpy first: it loads pickle itself, and a 20 000 x 500 run that
-    # imported pickle before numpy peaked about 0.9 MiB higher
-    import numpy as np
-
-    import os
-    import pickle
-    import signal
-    import sys
-
     bound: BoundCurve | None = None
     unstable = False
     if cfg.norm_kind is NormKind.L2:
@@ -329,6 +316,27 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             bound = noise_bound(cfg.theta, cfg.alpha, d_sq, cfg.noise.a, cfg.noise.b, cfg.steps)
         except UnstableError:
             unstable = True
+
+    if cfg.noise == (0.0, 0.0):
+        # km_step without noise is averaged_step bit for bit, and the exact
+        # mean of equal samples is that sample
+        mean = []
+        path = run_km(cfg.theta, cfg.norm_kind, Schedule(ScheduleKind.CONSTANT, cfg.alpha), cfg.x1, cfg.steps)
+        for k, (y1, y2, n) in enumerate(path, 1):
+            sq = y1 * y1 + y2 * y2 if cfg.norm_kind is NormKind.L2 else n * n
+            if not math.isfinite(sq):  # before the next step, which may overflow
+                raise NonFiniteError(f"squared norm not finite at k = {k}: {cfg.replicas} of {cfg.replicas} replicas")
+            mean.append(sq)
+        return McResult(tuple(mean), (0.0,) * cfg.steps, bound, unstable)
+
+    # numpy first: it loads pickle itself, and a 20 000 x 500 run that
+    # imported pickle before numpy peaked about 0.9 MiB higher
+    import numpy as np
+
+    import os
+    import pickle
+    import signal
+    import sys
 
     sums = ExactSums(cfg.steps, cfg.replicas)
     workers = _workers(-(-cfg.replicas // _CHUNK))

@@ -759,7 +759,7 @@ def _type_checking_namespace(module) -> dict:
 
 
 class TestStartup:
-    """simulate and bound build no array, so they start and run without numpy; import loads no dataclasses."""
+    """simulate, bound and a noiseless mc build no array, so they run without numpy; import loads no dataclasses."""
 
     NO_ARRAYS = [
         "simulate --theta 1/12 --steps 30",
@@ -769,6 +769,9 @@ class TestStartup:
         "simulate --theta 1/6 --schedule invk --steps 30",
         # pi/1000 is not in the table, but no row reaches past T = 1000
         "bound --theta 1/1000 --norm linf --steps 3",
+        # a noiseless run steps its one path; 5000 replicas would fork
+        "mc --theta 1/4 --A 0 --replicas 5000 --steps 30",
+        "mc --theta 1/4 --A 0 --replicas 5000 --steps 30 --norm linf",
     ]
 
     def test_import_loads_neither_dataclasses_nor_numpy(self):

@@ -33,7 +33,9 @@ from kmrot import (
     mu,
     replica_rng,
     run_stochastic_km,
+    sin_cos_pi,
 )
+from kmrot.rotation import km_step
 
 from _support import Z_MC, mc_z_scores
 
@@ -251,21 +253,51 @@ class TestRunStochastic:
     def test_noiseless_mean_is_the_common_value(self, kind):
         # every replica follows one path, so each mean is that path's value;
         # the sum rounded before the division missed it in 27 of 200 steps
-        # at 5000 replicas
+        # at 5000 replicas, which ExactSums gets as a run would add them
         configs = [make_config(theta=Angle(1, 6), x1=Vec2(-6.1, 2.2), noise=NoiseParams(0.0, 0.0),
                                replicas=replicas, steps=200, norm_kind=kind)
-                   for replicas in (1, 3, 5000)]
+                   for replicas in (1, 3)]
         one, *many = [run_stochastic_km(cfg).mean_sq_norm for cfg in configs]
+        many.append(sums_as_a_run_adds(np.repeat(np.array([one]).T, 5000, axis=1)).moments()[0])
         for means in many:
             assert means == one
 
     @pytest.mark.parametrize("kind", NormKind)
-    def test_noiseless_run_draws_nothing(self, kind, monkeypatch):
-        def no_generator(seed, replica):
-            raise AssertionError("a generator was built")
+    def test_noiseless_run_matches_the_array_step(self, kind):
+        # the one path gives the bytes of stepping every replica with
+        # km_step and adding their squares exactly
+        cfg = make_config(theta=Angle(2, 3), alpha=0.3, x1=Vec2(3.0, -7.0), noise=NoiseParams(0.0, 0.0),
+                          replicas=3, steps=50, norm_kind=kind)
+        s, c = sin_cos_pi(cfg.theta.fraction)
+        linf = kind is NormKind.LINF
+        x1, x2 = np.full(cfg.replicas, cfg.x1.x1), np.full(cfg.replicas, cfg.x1.x2)
+        sq = []
+        for _ in range(cfg.steps):
+            mx = np.maximum(np.abs(x1), np.abs(x2))
+            sq.append(mx * mx if linf else x1 * x1 + x2 * x2)
+            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf)
+        res = run_stochastic_km(cfg)
+        assert (res.mean_sq_norm, res.std_err) == sums_as_a_run_adds(np.array(sq)).moments()
 
-        cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=30, norm_kind=kind)
-        monkeypatch.setattr(stochastic, "replica_rng", no_generator)
+    @pytest.mark.parametrize("x1", [Vec2(1e200, 1e200), Vec2(1.5e308, 1.5e308)], ids=["1e200", "1.5e308"])
+    def test_noiseless_non_finite_square_raises_before_the_next_step(self, x1):
+        # from 1.5e308 the next step would overflow a coordinate instead
+        cfg = make_config(theta=Angle(1, 6), x1=x1, noise=NoiseParams(0.0, 0.0), replicas=7, steps=3,
+                          norm_kind=NormKind.LINF)
+        with pytest.raises(NonFiniteError, match=r"^squared norm not finite at k = 1: 7 of 7 replicas$"):
+            run_stochastic_km(cfg)
+
+    @pytest.mark.parametrize("kind", NormKind)
+    def test_noiseless_run_draws_nothing(self, kind, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a noiseless run drew, stepped arrays, summed or forked")
+
+        # 5000 replicas are three chunks: forked wherever there are two CPUs
+        cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=5000, norm_kind=kind)
+        monkeypatch.setattr(stochastic, "replica_rng", fail)
+        monkeypatch.setattr(stochastic, "_simulate_chunk", fail)
+        monkeypatch.setattr(stochastic, "ExactSums", fail)
+        monkeypatch.setattr(os, "fork", fail)
         res = run_stochastic_km(cfg)
         assert res.std_err == (0.0,) * cfg.steps
 
@@ -308,10 +340,11 @@ class TestRunStochastic:
     def test_memory_of_a_decaying_run_stays_small(self):
         # the squared norm halves each step and reaches 0 near step 1080; one
         # exponent window shared by all steps would span ~1100 bins per step
-        cfg = make_config(theta=Angle(1, 2), noise=NoiseParams(0.0, 0.0), replicas=10, steps=2000)
+        cfg = make_config(theta=Angle(1, 2), noise=NoiseParams(0.0, 0.0), replicas=1, steps=2000)
+        sq = np.repeat(np.array([run_stochastic_km(cfg).mean_sq_norm]).T, 10, axis=1)
         tracemalloc.start()
         try:
-            run_stochastic_km(cfg)
+            sums_as_a_run_adds(sq).moments()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -334,7 +367,7 @@ class TestWorkers:
     CONFIGS = {
         "l2": dict(noise=NoiseParams(2.0, 0.1)),
         "linf": dict(norm_kind=NormKind.LINF),
-        "noiseless": dict(noise=NoiseParams(0.0, 0.0)),
+        "additive": dict(noise=NoiseParams(2.0, 0.0)),
         "unstable": dict(noise=NoiseParams(2.0, 0.6)),
     }
 
@@ -453,6 +486,16 @@ def exact_sums(samples, splits=()):
     return sums
 
 
+def sums_as_a_run_adds(sq):
+    """ExactSums of a (steps, replicas) array, added _CHUNK replicas and _STEPS steps at a time as a run adds them."""
+    steps, replicas = sq.shape
+    sums = stochastic.ExactSums(steps, replicas)
+    for start in range(0, replicas, stochastic._CHUNK):
+        for first in range(0, steps, stochastic._STEPS):
+            sums.add(sq[first:first + stochastic._STEPS, start:start + stochastic._CHUNK], first)
+    return sums
+
+
 def outcome(sums):
     """Moments, or the message of the NonFiniteError they raise."""
     try:
@@ -548,7 +591,7 @@ class TestExactSums:
         tail.add(x[:, cut:])
         head.merge(tail)
         whole = exact_sums(x)
-        assert (head._sx, head._sxx, head._bad.tolist()) == (whole._sx, whole._sxx, whole._bad.tolist())
+        assert (head._sx, head._sxx, head._bad) == (whole._sx, whole._sxx, whole._bad)
         assert outcome(head) == outcome(whole)
 
     def test_non_finite_sample_in_a_slice_names_its_series(self):
@@ -560,7 +603,7 @@ class TestExactSums:
         sums.add(x[3:], 3)
         with pytest.raises(NonFiniteError, match="k = 5: 1 of 4 replicas"):
             sums.moments()
-        assert sums._bad.tolist() == [0, 0, 0, 0, 1, 3]
+        assert sums._bad == [0, 0, 0, 0, 1, 3]
 
     def test_a_block_of_zeros_after_samples_adds_nothing(self):
         # series 0 gets only a zero in the second block while series 1 does not
