@@ -7,7 +7,6 @@ affine-variance noise.
 """
 
 from .beta_search import (
-    REFERENCE_BETA_U,
     BetaSearchResult,
     beta_l,
     pseudo_period,
@@ -64,7 +63,6 @@ __all__ = [
     "NonFiniteError",
     "NormKind",
     "OutOfRangeError",
-    "REFERENCE_BETA_U",
     "RotationOp",
     "Schedule",
     "ScheduleKind",

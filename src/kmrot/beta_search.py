@@ -29,16 +29,6 @@ from .rotation import Angle, Vec2, km_step, sin_cos_pi, tan_pi
 if TYPE_CHECKING:
     import numpy as np
 
-# Four-decimal reference factors for common angles, reproduced by
-# search_beta_u at the default grid_step of 1e-4.
-REFERENCE_BETA_U: dict[Angle, float] = {
-    Angle(1, 12): 0.8974,
-    Angle(1, 6): 0.8211,
-    Angle(1, 4): 0.7504,
-    Angle(1, 3): 0.6830,
-    Angle(1, 2): 0.5,
-}
-
 _REFINE_FACTOR = 10
 # Starts stepped together; bounds the memory of one batch.
 _CHUNK = 4096

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from contextlib import nullcontext
 from itertools import count, islice
 
-from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, REFERENCE_BETA_U, search_beta_u
+from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, search_beta_u
 from .bounds import l2_bound, linf_bound
 from .engine import Schedule, ScheduleKind, run_km
 from .errors import KmrotError
@@ -37,8 +37,14 @@ ROWS_PER_WRITE = 1024  # CSV rows joined into one write call
 
 
 def _angle_arg(text: str) -> Angle:
+    """Parse 'p/q' (or a bare integer 'p') as a multiple of pi."""
+    parts = text.strip().split("/")
     try:
-        return Angle.parse(text)
+        p, q = map(int, parts) if len(parts) > 1 else (int(parts[0]), 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an angle of the form 'p/q' in units of pi: {text!r}") from None
+    try:
+        return Angle(p, q)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -78,6 +84,16 @@ _nonneg_arg = _number_arg(float, 0.0, sys.float_info.max, "must be finite and >=
 _seed_arg = _number_arg(int, 0, 2**64 - 1, "seed must fit in an unsigned 64-bit integer")
 _grid_step_arg = _number_arg(float, MIN_GRID_STEP, MAX_GRID_STEP,
                              f"grid step must lie in [{MIN_GRID_STEP:g}, {MAX_GRID_STEP:g}]")
+
+
+# The paper's four-decimal beta_u, reproduced by search_beta_u at its default grid_step.
+REFERENCE_BETA_U: dict[Angle, float] = {
+    Angle(1, 12): 0.8974,
+    Angle(1, 6): 0.8211,
+    Angle(1, 4): 0.7504,
+    Angle(1, 3): 0.6830,
+    Angle(1, 2): 0.5,
+}
 
 
 def _bound_values(args: argparse.Namespace, d: float, steps: int) -> Sequence[float]:

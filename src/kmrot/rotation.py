@@ -91,18 +91,6 @@ class Angle(namedtuple("Angle", "p q")):
             raise ValueError(f"angle must lie in (0, 2)*pi: got {p}/{q}*pi")
         return super().__new__(cls, p, q)
 
-    @classmethod
-    def parse(cls, text: str) -> Angle:
-        """Parse 'p/q' (or a bare integer 'p') as a multiple of pi."""
-        body = text.strip()
-        num, _, den = body.partition("/")
-        try:
-            p = int(num)
-            q = int(den) if den else 1
-        except ValueError:
-            raise ValueError(f"expected an angle of the form 'p/q' in units of pi: {text!r}") from None
-        return cls(p, q)
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.p, self.q)

@@ -15,6 +15,16 @@ from kmrot.cli import main
 from kmrot.rotation import averaged_step
 
 
+# The paper's per-period contraction factors beta_u, to four decimals.
+PUBLISHED_BETA_U = {
+    (1, 12): 0.8974,
+    (1, 6): 0.8211,
+    (1, 4): 0.7504,
+    (1, 3): 0.6830,
+    (1, 2): 0.5,
+}
+
+
 def sample_angle(rng: random.Random, max_q: int = 64, upper: int = 2) -> Angle:
     """Random canonical angle (p/q)*pi with p/q in (0, upper)."""
     q = rng.randint(1, max_q)

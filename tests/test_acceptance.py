@@ -33,16 +33,15 @@ from kmrot import (
 )
 from kmrot.rotation import turn
 
-from _support import Z_MC, mc_z_scores, run_cli, sample_angle, scalar_period_check, trajectory
-
-# Published per-period contraction factors the search must reproduce.
-PUBLISHED_BETA_U = {
-    (1, 12): 0.8974,
-    (1, 6): 0.8211,
-    (1, 4): 0.7504,
-    (1, 3): 0.6830,
-    (1, 2): 0.5,
-}
+from _support import (
+    PUBLISHED_BETA_U,
+    Z_MC,
+    mc_z_scores,
+    run_cli,
+    sample_angle,
+    scalar_period_check,
+    trajectory,
+)
 
 MC_SEED = 20250811
 

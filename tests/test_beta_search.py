@@ -11,7 +11,6 @@ import pytest
 
 import kmrot.beta_search as beta_search
 from kmrot import (
-    REFERENCE_BETA_U,
     Angle,
     NormKind,
     OutOfRangeError,
@@ -26,7 +25,7 @@ from kmrot import (
 from kmrot.beta_search import MIN_GRID_STEP
 from kmrot.rotation import km_step
 
-from _support import scalar_period_check
+from _support import PUBLISHED_BETA_U, scalar_period_check
 
 
 def period_ratio_via_public_api(theta: Angle, start: Vec2) -> float:
@@ -64,7 +63,8 @@ class TestSearch:
         assert res.grid_step == 1e-3
 
     def test_coarse_grid_lands_near_reference(self):
-        for theta, reference in REFERENCE_BETA_U.items():
+        for (p, q), reference in PUBLISHED_BETA_U.items():
+            theta = Angle(p, q)
             res = search_beta_u(theta, grid_step=1e-3)
             assert res.beta_u == pytest.approx(reference, abs=1e-3)
             assert beta_l(theta) - 1e-6 <= res.beta_u < 1.0
@@ -137,10 +137,6 @@ class TestSearch:
         for x, got1, got2 in zip(points, y1.tolist(), y2.tolist()):
             expected = apply_averaged(op, NormKind.LINF, 0.5, x)
             assert (got1, got2) == (expected.x1, expected.x2)
-
-    def test_reference_table_shape(self):
-        assert set(REFERENCE_BETA_U) == {Angle(1, 12), Angle(1, 6), Angle(1, 4), Angle(1, 3), Angle(1, 2)}
-        assert all(0.0 < v < 1.0 for v in REFERENCE_BETA_U.values())
 
 
 class TestPeriodChecker:

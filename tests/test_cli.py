@@ -43,7 +43,7 @@ from kmrot import (
 )
 from kmrot.beta_search import MIN_GRID_STEP
 
-from _support import parse_csv, run_cli, trajectory
+from _support import PUBLISHED_BETA_U, parse_csv, run_cli, trajectory
 
 
 class TestSimulate:
@@ -393,6 +393,7 @@ class TestUsageErrors:
         [
             ["simulate", "--theta", "abc"],
             ["simulate", "--theta", "5/2"],
+            ["bound", "--theta", "1/", "--steps", "2"],
             ["simulate", "--theta", "1/4", "--alpha", "1.5"],
             ["simulate", "--theta", "1/4", "--x1", "1;2"],
             ["simulate", "--theta", "1/4", "--steps", "0"],
@@ -433,6 +434,32 @@ class TestUsageErrors:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err.endswith(f"error: --alpha applies only to --schedule const, not {schedule}\n")
+
+
+def test_builtin_beta_table_is_the_published_figures():
+    assert cli.REFERENCE_BETA_U == {Angle(p, q): v for (p, q), v in PUBLISHED_BETA_U.items()}
+
+
+class TestAngleArg:
+    GRAMMAR = "expected an angle of the form 'p/q' in units of pi"
+
+    def test_parse(self):
+        assert cli._angle_arg("3/4") == Angle(3, 4)
+        assert cli._angle_arg(" 1/2 ") == Angle(1, 2)
+        assert cli._angle_arg("1") == Angle(1, 1)
+        for bad, message in [
+            ("abc", f"{self.GRAMMAR}: 'abc'"),
+            ("0.5", f"{self.GRAMMAR}: '0.5'"),
+            ("1/0", "angle numerator and denominator must be positive: 1/0"),
+            ("", f"{self.GRAMMAR}: ''"),
+            ("1/2/3", f"{self.GRAMMAR}: '1/2/3'"),
+            # only text without a '/' means a denominator of 1
+            ("1/", f"{self.GRAMMAR}: '1/'"),
+            ("2/", f"{self.GRAMMAR}: '2/'"),
+        ]:
+            with pytest.raises(argparse.ArgumentTypeError) as info:
+                cli._angle_arg(bad)
+            assert str(info.value) == message
 
 
 class TestOutputErrors:
@@ -633,7 +660,10 @@ class TestSameBytesPins:
     are the --help lines (exit 0) and those of ARGPARSE_EXITS.
     """
 
-    ARGPARSE_EXITS = {"simulate --theta 1/4 --steps 0": 2}
+    ARGPARSE_EXITS = {
+        "simulate --theta 1/4 --steps 0": 2,
+        **{f"bound --theta {text} --steps 3": 2 for text in ["1/2/3", "abc", "1/0", "0/1", "4/2", "/2", "0.5"]},
+    }
 
     @pytest.mark.parametrize("line", _same_bytes_lines())
     def test_line_parses(self, line):
@@ -838,7 +868,7 @@ class TestRecords:
     def test_angle_is_stored_in_lowest_terms_and_hashes_so(self):
         assert Angle(2, 24) == Angle(1, 12)
         assert hash(Angle(2, 24)) == hash(Angle(1, 12))
-        assert kmrot.REFERENCE_BETA_U[Angle(2, 24)] == 0.8974
+        assert cli.REFERENCE_BETA_U[Angle(2, 24)] == 0.8974
 
     @pytest.mark.parametrize("record, text", REPRS)
     def test_repr(self, record, text):

@@ -68,14 +68,6 @@ class TestAngle:
         with pytest.raises(ValueError):
             Angle(p, q)
 
-    def test_parse(self):
-        assert Angle.parse("3/4") == Angle(3, 4)
-        assert Angle.parse(" 1/2 ") == Angle(1, 2)
-        assert Angle.parse("1") == Angle(1, 1)
-        for bad in ["abc", "0.5", "1/0", "", "1/2/3"]:
-            with pytest.raises(ValueError):
-                Angle.parse(bad)
-
     def test_mirrored(self):
         assert Angle(7, 4).mirrored() == Angle(1, 4)
         assert Angle(1, 1).mirrored() == Angle(1, 1)
