@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 from .bounds import BoundCurve, noise_bound
 from .engine import Schedule, ScheduleKind, run_km
@@ -231,8 +231,6 @@ def _sqrt_ratio(p: int, q: int) -> float:
     result equals math.sqrt(p / q) wherever p / q is a normal double, and
     stays finite and accurate where p / q alone would overflow or underflow.
     """
-    if p == 0:
-        return 0.0
     h = (p.bit_length() - q.bit_length()) // 2
     r = p / (q << 2 * h) if h >= 0 else (p << -2 * h) / q
     return math.ldexp(math.sqrt(r), h)
@@ -297,16 +295,16 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     per-step totals for any replica or step count.  Process w of W runs
     the replicas [R * w / W, R * (w + 1) / W), with W up to one per
     available CPU and at most one per _CHUNK replicas (_workers); this
-    process forks the others and adds in the totals they send back.
+    process forks the others, then reads, reaps and merges each in turn.
     Integer totals make every byte of the result independent of the worker
     count and of the chunk and block sizes.  Each mean is the exact mean
     rounded once.  Without noise (a = b = 0) all replicas follow one path,
     which run_km steps once here, with no array and no fork: each mean is
     its squared norm and each standard error 0.  The Euclidean bound's
     initial-distance check runs before the simulation.  A replica whose
-    squared norm overflows or turns nan raises NonFiniteError, a worker
-    that sends no totals RuntimeError.  Every forked process is reaped, and
-    killed first if the run fails.
+    squared norm overflows or turns nan raises NonFiniteError; the first
+    worker that sends no totals ends the run with RuntimeError.  After any
+    failure, the workers not yet reaped are killed, then reaped.
     """
     bound: BoundCurve | None = None
     unstable = False
@@ -347,9 +345,7 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             for first, sq in _simulate_chunk(cfg, start, min(start + _CHUNK, hi)):
                 sums.add(sq, first)
 
-    pipes: dict[int, int] = {}  # child pid -> read end of its pipe
-    parts: list[bytes] = []
-    done = False
+    pipes: dict[int, BinaryIO] = {}  # child pid -> read end of its pipe, until the child is reaped
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for share in range(1, workers):
@@ -366,21 +362,20 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
                     finally:
                         os._exit(1)
                 os.close(w)
-                pipes[pid] = r
+                pipes[pid] = open(r, "rb")
             add_share(0)
-        for r in pipes.values():
-            with open(r, "rb", closefd=False) as pipe:
-                parts.append(pipe.read())
-        done = True
+        for pid, pipe in list(pipes.items()):  # one worker at a time, in fork order
+            with pipe:
+                part = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pipes[pid]
+            if status != 0:
+                raise RuntimeError("a Monte Carlo worker process ended without sending its totals")
+            sums.merge(pickle.loads(part))
     finally:
-        for pid, r in pipes.items():
-            os.close(r)
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            done &= os.waitpid(pid, 0)[1] == 0
-    if not done:
-        raise RuntimeError("a Monte Carlo worker process ended without sending its totals")
-    for part in parts:
-        sums.merge(pickle.loads(part))
+        for pid, pipe in pipes.items():  # only after a failure: the workers not yet reaped
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     mean, serr = sums.moments()
     return McResult(mean, serr, bound, unstable)

@@ -1,7 +1,9 @@
 """Noise model and the Monte Carlo harness: moments, determinism, bounds."""
 
+import contextlib
 import math
 import os
+import signal
 import sys
 import time
 from collections import Counter
@@ -427,6 +429,81 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
             run_stochastic_km(make_config(replicas=30))
         assert_no_child_left()
+
+    def test_failed_child_ends_the_run_without_waiting_for_a_slower_one(self, monkeypatch):
+        # replicas [10, 20) run in the first child, which fails at once;
+        # the second child would sleep for a minute per chunk
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 3)
+        parent, real = os.getpid(), stochastic._simulate_chunk
+
+        def chunk(cfg, start, stop):
+            if os.getpid() != parent:
+                if start < 20:
+                    os._exit(1)
+                time.sleep(60)
+            return real(cfg, start, stop)
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="ended without sending its totals"):
+            run_stochastic_km(make_config(replicas=30))
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
+
+    def test_child_killed_by_a_signal_fails_the_run(self, monkeypatch):
+        # its wait status is a signal, not an exit code
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 3)
+        parent, real = os.getpid(), stochastic._simulate_chunk
+
+        def chunk(cfg, start, stop):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(cfg, start, stop)
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        with pytest.raises(RuntimeError, match="ended without sending its totals"):
+            run_stochastic_km(make_config(replicas=30))
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("fails, error", [(None, None), ("child", RuntimeError), ("parent", ValueError)])
+    def test_run_leaves_no_descriptor_open(self, monkeypatch, fails, error):
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 3)
+        parent, real = os.getpid(), stochastic._simulate_chunk
+
+        def chunk(cfg, start, stop):
+            if fails == ("parent" if os.getpid() == parent else "child"):
+                raise ValueError("this share failed")
+            return real(cfg, start, stop)
+
+        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            run_stochastic_km(make_config(replicas=30))
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()
+
+    def test_parent_memory_does_not_grow_with_the_worker_count(self, monkeypatch):
+        # each child's totals take about 1.8 MB at 4096 steps; this process
+        # holds one child's at a time
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        cfg = make_config(replicas=35, steps=4096)
+        force_workers(monkeypatch, 2)
+        run_stochastic_km(make_config(replicas=35, steps=2))  # loads what a first run loads
+        peaks = []
+        for workers in (2, 5):
+            force_workers(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                run_stochastic_km(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert_no_child_left()
+        assert peaks[1] <= peaks[0] + 2**19
 
     def test_child_error_prints_its_traceback(self, monkeypatch, capfd):
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
