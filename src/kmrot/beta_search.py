@@ -75,9 +75,10 @@ def _edge_max(c: float, s: float, period: int, ts: np.ndarray) -> tuple[float, f
     # (ascending), and the first t attaining it; the start norm is 1.
     import numpy as np
 
-    x1, x2 = ts, np.ones_like(ts)
-    for _ in range(period):
-        x1, x2 = km_step(c, s, 0.5, x1, x2, True)
+    # the first step writes new arrays, so ts stays for the result; the others step in place
+    x1, x2 = km_step(c, s, 0.5, ts, np.ones_like(ts), True)
+    for _ in range(period - 1):
+        km_step(c, s, 0.5, x1, x2, True, out=(x1, x2))
     ratio = np.maximum(np.abs(x1), np.abs(x2))
     i = int(np.argmax(ratio))
     return float(ratio[i]), float(ts[i])

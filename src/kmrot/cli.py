@@ -258,8 +258,12 @@ def entrypoint() -> None:
 
     The table is already written and any --out file closed.  argparse's
     SystemExit (--help, usage errors) and any other exception take the
-    normal exit path.
+    normal exit path.  The CLI calls no BLAS routine, so before main can
+    import numpy it asks OpenBLAS for one thread, unless the caller set a
+    count: numpy's import then starts no thread, and mc forks from a
+    one-thread process.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None when Python started with that descriptor closed

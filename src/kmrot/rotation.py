@@ -219,6 +219,7 @@ def km_step(
     linf: bool,
     w1: np.ndarray | None = None,
     w2: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The averaged step (1 - alpha) * x + alpha * (T(x) + w) on float64 arrays.
 
@@ -228,16 +229,26 @@ def km_step(
     noise w1, w2 is added to T(x) only when given.  Without noise every
     element is bit-identical to averaged_step on that point, down to the
     sign of zero, since no zero is added: t + 0.0 would turn t = -0.0 into
-    +0.0.
+    +0.0.  The step is written into the pair of arrays `out` when given,
+    which may be x1 and x2 themselves, and into new arrays otherwise; the
+    pair is returned either way.
     """
     import numpy as np
 
     with np.errstate(invalid="ignore"):
-        t1, t2 = turn(c, s, x1, x2, linf, np.maximum)
+        t1, t2 = turn(c, s, x1, x2, linf, np.maximum)  # new arrays, updated in place below
     origin = (x1 == 0.0) & (x2 == 0.0)
-    t1[origin] = 0.0
-    t2[origin] = 0.0
+    if np.count_nonzero(origin):  # lighter than origin.any(), which sets up a reduction
+        t1[origin] = 0.0
+        t2[origin] = 0.0
     if w1 is not None:
-        t1 = t1 + w1
-        t2 = t2 + w2
-    return (1.0 - alpha) * x1 + alpha * t1, (1.0 - alpha) * x2 + alpha * t2
+        t1 += w1
+        t2 += w2
+    t1 *= alpha
+    t2 *= alpha
+    y1, y2 = out or (None, None)
+    y1 = np.multiply(1.0 - alpha, x1, out=y1)
+    y2 = np.multiply(1.0 - alpha, x2, out=y2)
+    y1 += t1
+    y2 += t2
+    return y1, y2

@@ -9,21 +9,26 @@ max-norm variant is simulation only and carries no bound.
 
 Reproducibility: replica r draws all of its Gaussians from a generator
 seeded by (seed, r), so per-replica paths never depend on how replicas are
-chunked or how steps are blocked.  A chunk of replicas runs one block of
-steps at a time; each block's squared norms are binned and folded at once
-into exact Python-int sums of x and x^2 per step (ExactSums), and only
-those sums are kept.  Up to one process per available CPU, at most one
-per chunk and with no option, each runs a near-equal contiguous range of
-replicas; their integer totals are added exactly, so every byte of the
-result is independent of the order of blocks and of the worker count.
-Memory per process is O(_CHUNK * _STEPS) plus the per-step totals, for
-any replica or step count.  Each mean is the exact mean rounded once; each
-standard error is the square root of the exact sample variance rounded
-once.  A noise-free run (a = b = 0) has one path, which run_km steps once.
+chunked or how steps are blocked.  A chunk of replicas hashes its seeds in
+one pass (seeding), draws one block of steps at a time and steps in place; every
+few steps, its squared norms are binned and folded into exact Python-int
+sums of x and x^2 per step (ExactSums), and only those sums are kept.  Up
+to one process per available CPU, at most one per chunk and with no
+option, each runs a near-equal contiguous range of replicas; their
+integer totals are added exactly, so every byte of the result is
+independent of the order of blocks and of the worker count.  Memory per
+process is O(_CHUNK * _STEPS) plus the per-step totals, for any replica
+or step count.  A chunk of 2048 replicas holds their generators (about
+0.6 KiB each), a 2 MiB draw buffer (_STEPS normal pairs per replica), one
+128 KiB slab of squared norms (_BLOCK values) and a few step vectors.
+Each mean is the exact mean rounded once; each standard error is the
+square root of the exact sample variance rounded once.  A noise-free run
+(a = b = 0) has one path, which run_km steps once.
 
-numpy is imported by the functions that build arrays, not by the module:
-kmrot and its CLI import this module's names, and simulate, bound and a
-noise-free mc never build an array, so they run without loading numpy.
+numpy and seeding are imported by the functions that use them, not by the
+module: kmrot and its CLI import this module's names, and simulate, bound
+and a noise-free mc never build an array, so they run without loading
+either.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 2048  # replicas stepped together
-_STEPS = 128  # steps drawn, stepped and summed together
+_STEPS = 64  # steps drawn together
 _ADD_SAMPLES = 2**16
 _BLOCK = 2**14  # samples, and bins, per frexp/bincount pass; bounds the temporaries
 _SPAN = 36  # the largest piece shift, in exponent steps
@@ -80,6 +85,8 @@ class McConfig(namedtuple("McConfig", "theta alpha x1 noise replicas steps seed 
         check_count("steps", steps)
         if steps > MAX_MC_STEPS:
             raise OutOfRangeError(f"steps must be <= {MAX_MC_STEPS}: got {steps}")
+        if replicas > 2**64:  # replica numbers are seeded as 64-bit words
+            raise OutOfRangeError(f"replicas must be <= {2**64}: got {replicas}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer: got {seed}")
         return super().__new__(cls, theta, alpha, x1, noise, replicas, steps, seed, norm_kind)
@@ -193,9 +200,10 @@ class ExactSums:
         return len(block)
 
     def merge(self, other: ExactSums) -> None:
-        """Add in the totals of `other`, which holds other samples of the same series."""
-        pairs = (self._sx, other._sx), (self._sxx, other._sxx), (self._bad, other._bad)
-        self._sx, self._sxx, self._bad = ([p + q for p, q in zip(mine, theirs)] for mine, theirs in pairs)
+        """Add in the totals of `other`, which holds other samples of the same series, in place."""
+        for mine, theirs in (self._sx, other._sx), (self._sxx, other._sxx), (self._bad, other._bad):
+            for k, v in enumerate(theirs):
+                mine[k] += v
 
     def moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-series mean and standard error of the mean.
@@ -237,17 +245,22 @@ def _sqrt_ratio(p: int, q: int) -> float:
 
 
 def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Squared norms of replicas start .. stop-1, _STEPS steps at a time.
+    """Squared norms of replicas start .. stop-1, a slab of steps at a time.
 
     Yields (first, sq), where sq[j] holds step first + j of each replica.
-    The replicas' generators live across blocks; each block draws one
-    normal pair per replica and step into the replica's own row, and steps
-    after every record, so the step after the run's last record is computed
-    and dropped.  A stream drawn in pieces gives the same numbers as one
-    draw.  Vectorized over the replicas; km_step is element-wise, so the
-    per-replica paths do not depend on the chunk or block bounds.
+    sq has at most _BLOCK // (stop - start) rows, as many as one ExactSums
+    pass bins, and is a view of one slab that the next steps overwrite: use
+    it before asking for the next.  The replicas' generators live across
+    blocks of _STEPS steps; each block draws one normal pair per replica
+    and step into the replica's own row, and steps after every record, so
+    the step after the run's last record is computed and dropped.  A stream
+    drawn in pieces gives the same numbers as one draw.  Vectorized over
+    the replicas, which km_step steps in place; it is element-wise, so the
+    per-replica paths do not depend on the chunk, block or slab bounds.
     """
     import numpy as np
+
+    from .seeding import replica_rngs
 
     steps = cfg.steps
     m = stop - start
@@ -255,26 +268,47 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
 
-    rngs = [replica_rng(cfg.seed, r) for r in range(start, stop)]
+    rngs = replica_rngs(cfg.seed, start, stop)
     z = np.empty((m, min(_STEPS, steps), 2))
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
+    w1, w2 = np.empty(m), np.empty(m)
+    slab = np.empty((min(max(1, _BLOCK // m), steps), m))
     scale = math.sqrt(a * 0.5)  # for b = 0; b * ||x||^2 would be 0 * inf = nan where ||x||^2 overflows
-    for first in range(0, steps, _STEPS):
-        block = min(_STEPS, steps - first)
-        for g, row in zip(rngs, z):
-            g.standard_normal(out=row[:block])
-        sq = np.empty((block, m))
-        for j in range(block):
+    row = 0
+    for k in range(steps):
+        j = k % _STEPS
+        if j == 0:
+            for g, draws in zip(rngs, z):
+                g.standard_normal(out=draws[:steps - k])
+        sq = slab[row]
+        if linf:
+            np.maximum(np.abs(x1, out=w1), np.abs(x2, out=w2), out=sq)
+            sq *= sq
+        else:
+            np.multiply(x1, x1, out=sq)
+            sq += np.multiply(x2, x2, out=w1)
+        row += 1
+        if row == len(slab) or k == steps - 1:
+            yield k + 1 - row, slab[:row]
+            row = 0
+        if b > 0.0:
+            # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
             if linf:
-                mx = np.maximum(np.abs(x1), np.abs(x2))
-                sq[j] = mx * mx
+                np.multiply(x1, x1, out=w1)
+                w1 += np.multiply(x2, x2, out=w2)
+                w1 *= b
             else:
-                sq[j] = x1 * x1 + x2 * x2
-            if b > 0.0:
-                scale = np.sqrt((a + b * (x1 * x1 + x2 * x2 if linf else sq[j])) * 0.5)
-            x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf, scale * z[:, j, 0], scale * z[:, j, 1])
-        yield first, sq
+                np.multiply(b, sq, out=w1)
+            w1 += a
+            w1 *= 0.5
+            np.sqrt(w1, out=w1)
+            np.multiply(w1, z[:, j, 1], out=w2)
+            w1 *= z[:, j, 0]
+        else:
+            np.multiply(scale, z[:, j, 0], out=w1)
+            np.multiply(scale, z[:, j, 1], out=w2)
+        km_step(c, s, cfg.alpha, x1, x2, linf, w1, w2, out=(x1, x2))
 
 
 def _workers(chunks: int) -> int:
@@ -289,9 +323,9 @@ def _workers(chunks: int) -> int:
 def run_stochastic_km(cfg: McConfig) -> McResult:
     """Run `replicas` independent chains and average the squared norms.
 
-    Replicas run _CHUNK at a time and _STEPS steps at a time, and each
-    block's squared norms are added to exact per-step sums (ExactSums) and
-    then dropped, so memory is O(_CHUNK * _STEPS) per process plus the
+    Replicas run _CHUNK at a time, drawing _STEPS steps at a time, and
+    each slab of squared norms is added to exact per-step sums (ExactSums)
+    as it is stepped, so memory is O(_CHUNK * _STEPS) per process plus the
     per-step totals for any replica or step count.  Process w of W runs
     the replicas [R * w / W, R * (w + 1) / W), with W up to one per
     available CPU and at most one per _CHUNK replicas (_workers); this
@@ -371,7 +405,10 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             del pipes[pid]
             if status != 0:
                 raise RuntimeError("a Monte Carlo worker process ended without sending its totals")
-            sums.merge(pickle.loads(part))
+            totals = pickle.loads(part)
+            del part  # the worker's bytes go before the merge, its totals after it
+            sums.merge(totals)
+            del totals
     finally:
         for pid, pipe in pipes.items():  # only after a failure: the workers not yet reaped
             pipe.close()

@@ -347,6 +347,10 @@ class TestMc:
         argv = f"mc --theta 1/6 --norm linf --replicas 5 --steps {steps}".split()
         assert run_cli(argv, capsys) == (3, "", f"error: steps must be <= {stochastic.MAX_MC_STEPS}: got {steps}\n")
 
+    def test_replicas_past_64_bit_replica_numbers_exit_3_before_any_work(self, capsys):
+        argv = f"mc --theta 1/6 --replicas {2**64 + 1} --steps 3".split()
+        assert run_cli(argv, capsys) == (3, "", f"error: replicas must be <= {2**64}: got {2**64 + 1}\n")
+
     def test_max_norm_mode_has_no_bound(self, capsys):
         code, out, _ = run_cli(
             ["mc", "--theta", "1/4", "--norm", "linf", "--x1", "1,3",
@@ -779,6 +783,24 @@ print(seen)
 """
 
 
+# entrypoint with a main that imports numpy: the thread count it asked
+# OpenBLAS for, and the process's threads once numpy is loaded
+_BLAS_THREADS = """
+import os
+import kmrot.cli
+
+def main():
+    import numpy
+    with open("/proc/self/status") if os.path.exists("/proc/self/status") else open(os.devnull) as status:
+        threads = [line.split()[1] for line in status if line.startswith("Threads:")]
+    print((os.environ.get("OPENBLAS_NUM_THREADS"), threads))
+    return 0
+
+kmrot.cli.main = main
+kmrot.cli.entrypoint()
+"""
+
+
 def _type_checking_namespace(module) -> dict:
     """The module's globals plus what its `if TYPE_CHECKING:` block imports."""
     namespace = dict(vars(module))
@@ -803,6 +825,18 @@ class TestStartup:
         "mc --theta 1/4 --A 0 --replicas 5000 --steps 30",
         "mc --theta 1/4 --A 0 --replicas 5000 --steps 30 --norm linf",
     ]
+
+    @pytest.mark.parametrize("given, seen", [(None, "1"), ("2", "2")])
+    def test_entrypoint_asks_openblas_for_one_thread_unless_told(self, given, seen):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kmrot.__file__)))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], capture_output=True, text=True, env=env, check=True)
+        value, threads = ast.literal_eval(proc.stdout)
+        assert value == seen
+        if given is None and sys.platform == "linux":
+            assert threads == ["1"]
 
     def test_import_loads_neither_dataclasses_nor_numpy(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kmrot.__file__)))
@@ -910,6 +944,8 @@ class TestRecords:
          f"steps must be <= {stochastic.MAX_MC_STEPS}: got {stochastic.MAX_MC_STEPS + 1}"),
         (lambda: _config(seed=2**64), ValueError,
          "seed must fit in an unsigned 64-bit integer: got 18446744073709551616"),
+        (lambda: _config(replicas=2**64 + 1), OutOfRangeError,
+         "replicas must be <= 18446744073709551616: got 18446744073709551617"),
     ])
     def test_check_messages(self, build, error, message):
         with pytest.raises(error) as info:

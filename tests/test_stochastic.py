@@ -3,6 +3,7 @@
 import contextlib
 import math
 import os
+import pickle
 import signal
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kmrot.seeding as seeding
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
@@ -363,6 +365,18 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(stochastic, "_workers", lambda chunks: workers)
 
 
+def untrace_children(monkeypatch):
+    """Stop tracemalloc in forked workers, which inherit it: only this process's peak is measured."""
+    parent, real = os.getpid(), stochastic._simulate_chunk
+
+    def chunk(cfg, start, stop):
+        if os.getpid() != parent:
+            tracemalloc.stop()
+        return real(cfg, start, stop)
+
+    monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+
+
 class TestWorkers:
     # 30 replicas in chunks of 7: five chunks, shared out over up to three
     # processes
@@ -490,6 +504,7 @@ class TestWorkers:
         # each child's totals take about 1.8 MB at 4096 steps; this process
         # holds one child's at a time
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        untrace_children(monkeypatch)
         cfg = make_config(replicas=35, steps=4096)
         force_workers(monkeypatch, 2)
         run_stochastic_km(make_config(replicas=35, steps=2))  # loads what a first run loads
@@ -504,6 +519,37 @@ class TestWorkers:
                 tracemalloc.stop()
             assert_no_child_left()
         assert peaks[1] <= peaks[0] + 2**19
+
+    def test_merge_adds_in_place_after_the_bytes_are_let_go(self, monkeypatch):
+        # the worker's pickled totals take about 1.8 MB at 4096 steps
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        force_workers(monkeypatch, 2)
+        untrace_children(monkeypatch)
+        loads, merge, seen = pickle.loads, stochastic.ExactSums.merge, {}
+
+        def traced_loads(data):
+            seen["bytes"] = len(data)
+            totals = loads(data)
+            seen["after_loads"] = tracemalloc.get_traced_memory()[0]
+            return totals
+
+        def traced_merge(sums, other):
+            seen["at_merge"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            merge(sums, other)
+            seen["merge_peak"] = tracemalloc.get_traced_memory()[1] - seen["at_merge"]
+
+        monkeypatch.setattr(pickle, "loads", traced_loads)
+        monkeypatch.setattr(stochastic.ExactSums, "merge", traced_merge)
+        tracemalloc.start()
+        try:
+            run_stochastic_km(make_config(replicas=14, steps=4096))
+        finally:
+            tracemalloc.stop()
+        assert_no_child_left()
+        assert seen["bytes"] > 2**20
+        assert seen["after_loads"] - seen["at_merge"] >= seen["bytes"] - 2**12
+        assert seen["merge_peak"] < 2**16
 
     def test_child_error_prints_its_traceback(self, monkeypatch, capfd):
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
@@ -554,6 +600,32 @@ class TestWorkers:
         run_stochastic_km(make_config(replicas=4097, steps=3))
         assert_no_child_left()
 
+
+class TestSeedWords:
+    """Each chunk hashes its replicas' seeds at once, into the words SeedSequence([seed, r]) gives."""
+
+    # both ends of the seed range, and seeds of one and two 32-bit words
+    SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+    # replica numbers around chunk bounds (2048), mc_long's worker bound
+    # (10 000 of 20 000), one and two 32-bit words, and the last one
+    REPLICAS = [(0, 3), (2046, 2051), (4095, 4098), (9998, 10003), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_are_the_seed_sequence_state(self, seed):
+        for start, stop in self.REPLICAS:
+            words = seeding.seed_words(seed, start, stop)
+            expected = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64) for r in range(start, stop)]
+            assert words.tolist() == np.array(expected).tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chunk_generators_draw_as_replica_rng(self, seed):
+        for start, stop in self.REPLICAS:
+            rngs = seeding.replica_rngs(seed, start, stop)
+            assert len(rngs) == stop - start
+            for r, g in zip(range(start, stop), rngs):
+                assert g.standard_normal(300).tolist() == replica_rng(seed, r).standard_normal(300).tolist()
+
+
 def exact_sums(samples, splits=()):
     """ExactSums of a (series, n) array, added in column blocks cut at `splits`."""
     sums = stochastic.ExactSums(*samples.shape)
@@ -564,12 +636,14 @@ def exact_sums(samples, splits=()):
 
 
 def sums_as_a_run_adds(sq):
-    """ExactSums of a (steps, replicas) array, added _CHUNK replicas and _STEPS steps at a time as a run adds them."""
+    """ExactSums of a (steps, replicas) array, added in a run's slabs: _CHUNK replicas by _BLOCK samples."""
     steps, replicas = sq.shape
     sums = stochastic.ExactSums(steps, replicas)
     for start in range(0, replicas, stochastic._CHUNK):
-        for first in range(0, steps, stochastic._STEPS):
-            sums.add(sq[first:first + stochastic._STEPS, start:start + stochastic._CHUNK], first)
+        chunk = sq[:, start:start + stochastic._CHUNK]
+        rows = max(1, stochastic._BLOCK // chunk.shape[1])
+        for first in range(0, steps, rows):
+            sums.add(chunk[first:first + rows], first)
     return sums
 
 
