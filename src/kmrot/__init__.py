@@ -33,9 +33,7 @@ from .errors import (
 from .rotation import (
     Angle,
     NormKind,
-    RotationOp,
     Vec2,
-    apply_averaged,
     gamma,
     norm,
     sin_cos_pi,
@@ -63,14 +61,12 @@ __all__ = [
     "NonFiniteError",
     "NormKind",
     "OutOfRangeError",
-    "RotationOp",
     "Schedule",
     "ScheduleKind",
     "UnstableError",
     "UnsupportedAlphaError",
     "Vec2",
     "ZeroVectorError",
-    "apply_averaged",
     "beta_l",
     "gamma",
     "l2_bound",

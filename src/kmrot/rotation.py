@@ -13,7 +13,9 @@ c = cos(theta) and s = sin(theta).  averaged_step builds the averaged step
 on it for one point and km_step for arrays of points; gamma is the rescale
 factor of T.  km_step imports numpy itself, since it is the only function
 here that builds arrays: simulate and bound step plain floats, so they
-start without loading numpy.
+start without loading numpy.  RotationOp and apply_averaged at the end are
+not a second operator: they adapt averaged_step to the call shape of the
+benchmark's kernel probe, their only caller.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import NonFiniteError, ZeroVectorError, check_alpha
+from .errors import NonFiniteError, ZeroVectorError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,27 +125,6 @@ class Vec2(namedtuple("Vec2", "x1 x2")):
         return super().__new__(cls, x1, x2)
 
 
-class RotationOp(namedtuple("RotationOp", "angle cos_theta sin_theta")):
-    """Counter-clockwise rotation by a rational multiple of pi, trig values cached.
-
-    The induced matrix is [[cos, -sin], [sin, cos]]; it is orthogonal and its
-    symmetric part is cos(theta) * I, which is what makes the averaged step's
-    squared-norm recursion exact under the Euclidean norm.  It exists for
-    apply_averaged, whose per-call time the benchmark's kernel probe
-    measures; the library's own paths call turn, averaged_step and km_step
-    on (c, s) directly.  Built from the angle alone.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, angle: Angle) -> RotationOp:
-        s, c = sin_cos_pi(angle.fraction)
-        return super().__new__(cls, angle, c, s)
-
-    def __getnewargs__(self) -> tuple[Angle]:
-        return (self.angle,)
-
-
 def turn(c: float, s: float, x1: float | np.ndarray, x2: float | np.ndarray, linf: bool,
          maximum=max) -> tuple:
     """T(x): the rotation [[c, -s], [s, c]] of (x1, x2), rescaled when `linf` is set.
@@ -153,7 +134,9 @@ def turn(c: float, s: float, x1: float | np.ndarray, x2: float | np.ndarray, lin
     ||x||_inf / ||Rx||_inf is gamma, in [sqrt(2)/2, sqrt(2)]: it stays at
     the scale of x, and T(2^e x) = 2^e T(x) bit for bit wherever every value
     is normal.  Undefined at the origin (0/0); its extremal component can
-    land 1 ulp above ||x||_inf.
+    land 1 ulp above ||x||_inf.  The rotation is orthogonal and its
+    symmetric part is c * I, which is what makes the averaged step's
+    squared-norm recursion exact under the Euclidean norm.
     """
     t1 = c * x1 - s * x2
     t2 = s * x1 + c * x2
@@ -199,17 +182,6 @@ def gamma(c: float, s: float, x1: float, x2: float) -> float:
     return max(abs(x1), abs(x2)) / max(abs(t1), abs(t2))
 
 
-def apply_averaged(op: RotationOp, kind: NormKind, alpha: float, x: Vec2) -> Vec2:
-    """One averaged step (1 - alpha) * x + alpha * T(x): averaged_step on a checked Vec2.
-
-    T is turn: the plain rotation under the Euclidean norm (the Euclidean
-    rescaling factor is identically 1) and the rescaled rotation under the
-    max norm.  The origin is an absorbing fixed point in both cases.
-    """
-    check_alpha(alpha)
-    return Vec2(*averaged_step(op.cos_theta, op.sin_theta, alpha, x.x1, x.x2, kind is NormKind.LINF))
-
-
 def km_step(
     c: float,
     s: float,
@@ -252,3 +224,15 @@ def km_step(
     y1 += t1
     y2 += t2
     return y1, y2
+
+
+# Only bench/layers.py's kernel probe calls these two names, to time
+# averaged_step; they go when the probe calls averaged_step itself
+# (ROADMAP item 11).
+def RotationOp(angle: Angle) -> tuple[float, float]:
+    return sin_cos_pi(angle.fraction)
+
+
+def apply_averaged(op: tuple[float, float], kind: NormKind, alpha: float, x: Vec2) -> tuple[float, float]:
+    s, c = op
+    return averaged_step(c, s, alpha, x.x1, x.x2, kind is NormKind.LINF)

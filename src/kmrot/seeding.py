@@ -11,10 +11,8 @@ simulate, bound and search-beta never load it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # numpy's SeedSequence hash on uint32 words
 _MASK32 = 2**32 - 1
@@ -43,8 +41,6 @@ def seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     zero-padded; so the pool is [seed, r mod 2^32, r >> 32, 0] or, for a
     two-word seed, [seed mod 2^32, seed >> 32, r mod 2^32, r >> 32].
     """
-    import numpy as np
-
     r = np.arange(start, stop, dtype=np.uint64)
     words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
     pool = [np.full(len(r), w, np.uint32) for w in words]
@@ -61,6 +57,7 @@ def seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
 
 
+@ISeedSequence.register
 class _SeedWords:
     """One replica's four seed words, handed to PCG64 as its seed sequence's output.
 
@@ -85,8 +82,4 @@ def replica_rngs(seed: int, start: int, stop: int) -> list[np.random.Generator]:
     generator keeps a copy of its row, not a view that would hold the
     chunk's words.
     """
-    import numpy as np
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedWords)
     return [np.random.Generator(np.random.PCG64(_SeedWords(w.copy()))) for w in seed_words(seed, start, stop)]

@@ -16,12 +16,10 @@ from kmrot import (
     McConfig,
     NoiseParams,
     NormKind,
-    RotationOp,
     Schedule,
     ScheduleKind,
     UnstableError,
     Vec2,
-    apply_averaged,
     linf_bound,
     mu,
     noise_bound,
@@ -31,7 +29,7 @@ from kmrot import (
     search_beta_u,
     sin_cos_pi,
 )
-from kmrot.rotation import turn
+from kmrot.rotation import averaged_step, turn
 
 from _support import (
     PUBLISHED_BETA_U,
@@ -127,7 +125,8 @@ def test_c05_quasi_nonexpansiveness():
         theta = sample_angle(rng)
         alpha = rng.uniform(1e-6, 1.0 - 1e-6)
         x = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
-        out = apply_averaged(RotationOp(theta), NormKind.LINF, alpha, x)
+        s, c = sin_cos_pi(theta.fraction)
+        out = Vec2(*averaged_step(c, s, alpha, x.x1, x.x2, True))
         assert norm(out, NormKind.LINF) <= norm(x, NormKind.LINF) + 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -14,25 +14,24 @@ from kmrot import (
     Angle,
     NormKind,
     OutOfRangeError,
-    RotationOp,
     Vec2,
-    apply_averaged,
     beta_l,
     norm,
     pseudo_period,
     search_beta_u,
+    sin_cos_pi,
 )
 from kmrot.beta_search import MIN_GRID_STEP
-from kmrot.rotation import km_step
+from kmrot.rotation import averaged_step, km_step
 
 from _support import PUBLISHED_BETA_U, scalar_period_check
 
 
-def period_ratio_via_public_api(theta: Angle, start: Vec2) -> float:
-    op = RotationOp(theta)
+def period_ratio_step_by_step(theta: Angle, start: Vec2) -> float:
+    s, c = sin_cos_pi(theta.fraction)
     x = start
     for _ in range(pseudo_period(theta)):
-        x = apply_averaged(op, NormKind.LINF, 0.5, x)
+        x = Vec2(*averaged_step(c, s, 0.5, x.x1, x.x2, True))
     return norm(x, NormKind.LINF) / norm(start, NormKind.LINF)
 
 
@@ -42,13 +41,13 @@ def scalar_search(theta: Angle, grid_step: float) -> tuple[float, float]:
     candidates = [-1.0 + (2.0 * i) / n for i in range(n + 1)]
     best, best_t = -1.0, 0.0
     for t in candidates:
-        r = period_ratio_via_public_api(theta, Vec2(t, 1.0))
+        r = period_ratio_step_by_step(theta, Vec2(t, 1.0))
         if r > best:
             best, best_t = r, t
     fine = [best_t + (2.0 / n) * j / 10 for j in range(-10, 11)]
     for t in fine:
         if -1.0 <= t <= 1.0:
-            r = period_ratio_via_public_api(theta, Vec2(t, 1.0))
+            r = period_ratio_step_by_step(theta, Vec2(t, 1.0))
             if r > best or (r == best and t < best_t):
                 best, best_t = r, t
     return best, best_t
@@ -122,21 +121,20 @@ class TestSearch:
         theta = Angle(1, 4)
         for _ in range(25):
             t = rng.uniform(-1.0, 1.0)
-            base = period_ratio_via_public_api(theta, Vec2(t, 1.0))
+            base = period_ratio_step_by_step(theta, Vec2(t, 1.0))
             for c in (1e-3, 0.7, 3.0, 1e4):
-                scaled = period_ratio_via_public_api(theta, Vec2(c * t, c))
+                scaled = period_ratio_step_by_step(theta, Vec2(c * t, c))
                 assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_internal_step_matches_public_op(self):
+    def test_array_step_matches_scalar_step(self):
         rng = random.Random(44)
-        op = RotationOp(Angle(2, 7))
+        s, c = sin_cos_pi(Angle(2, 7).fraction)
         points = [Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(200)]
         x1 = np.array([x.x1 for x in points])
         x2 = np.array([x.x2 for x in points])
-        y1, y2 = km_step(op.cos_theta, op.sin_theta, 0.5, x1, x2, True)
+        y1, y2 = km_step(c, s, 0.5, x1, x2, True)
         for x, got1, got2 in zip(points, y1.tolist(), y2.tolist()):
-            expected = apply_averaged(op, NormKind.LINF, 0.5, x)
-            assert (got1, got2) == (expected.x1, expected.x2)
+            assert (got1, got2) == averaged_step(c, s, 0.5, x.x1, x.x2, True)
 
 
 class TestPeriodChecker:

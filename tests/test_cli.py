@@ -33,7 +33,6 @@ from kmrot import (
     NonFiniteError,
     NormKind,
     OutOfRangeError,
-    RotationOp,
     Schedule,
     ScheduleKind,
     Vec2,
@@ -875,6 +874,8 @@ class TestPublicApi:
     def test_all_names_resolve_once(self):
         assert len(set(kmrot.__all__)) == len(kmrot.__all__)
         assert [name for name in kmrot.__all__ if not hasattr(kmrot, name)] == []
+        # the benchmark kernel probe's adapter stays in kmrot.rotation only
+        assert {"RotationOp", "apply_averaged"}.isdisjoint(dir(kmrot))
 
 
 def _config(alpha=0.5, replicas=5, steps=3, seed=7) -> McConfig:
@@ -887,7 +888,6 @@ class TestRecords:
     REPRS = [
         (Angle(1, 12), "Angle(p=1, q=12)"),
         (Vec2(1.0, 2.0), "Vec2(x1=1.0, x2=2.0)"),
-        (RotationOp(Angle(1, 2)), "RotationOp(angle=Angle(p=1, q=2), cos_theta=0.0, sin_theta=1.0)"),
         (Schedule(ScheduleKind.INV_K), "Schedule(kind=<ScheduleKind.INV_K: 'invk'>, alpha=None)"),
         (NoiseParams(2.0), "NoiseParams(a=2.0, b=0.0)"),
         (_config(), "McConfig(theta=Angle(p=1, q=4), alpha=0.5, x1=Vec2(x1=1.0, x2=3.0), "

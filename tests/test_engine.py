@@ -12,20 +12,20 @@ from kmrot import (
     Angle,
     NonFiniteError,
     NormKind,
-    RotationOp,
     Schedule,
     ScheduleKind,
     Vec2,
-    apply_averaged,
     beta_l,
     mu,
     norm,
     pseudo_period,
     run_km,
     search_beta_u,
+    sin_cos_pi,
     step_size,
 )
 from kmrot.engine import CLIP_MAX
+from kmrot.rotation import averaged_step
 
 from _support import sample_angle, trajectory
 
@@ -102,13 +102,14 @@ class TestRunKm:
     @example(Angle(1, 6), 0.5, NormKind.LINF, ScheduleKind.CONSTANT, -0.0, -0.0)
     @example(Angle(1, 64), 0.5, NormKind.LINF, ScheduleKind.INV_SQRT, 5e-324, -0.0)
     @example(Angle(1, 64), 0.5, NormKind.L2, ScheduleKind.INV_LOG, -0.0, 5e-324)
-    def test_columns_match_apply_averaged_bitwise(self, a, alpha, kind, schedule_kind, x1, x2):
+    def test_columns_match_averaged_step_bitwise(self, a, alpha, kind, schedule_kind, x1, x2):
         schedule = Schedule(schedule_kind, alpha if schedule_kind is ScheduleKind.CONSTANT else None)
         traj = trajectory(a, kind, schedule, Vec2(x1, x2), 12)
-        op, x = RotationOp(a), Vec2(x1, x2)
+        s, c = sin_cos_pi(a.fraction)
+        x = Vec2(x1, x2)
         expected = [x]
         for k in range(1, 12):
-            x = apply_averaged(op, kind, step_size(schedule, k), x)
+            x = Vec2(*averaged_step(c, s, step_size(schedule, k), x.x1, x.x2, kind is NormKind.LINF))
             expected.append(x)
         assert [_bits(v) for v in traj.x1] == [_bits(p.x1) for p in expected]
         assert [_bits(v) for v in traj.x2] == [_bits(p.x2) for p in expected]

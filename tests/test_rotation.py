@@ -11,15 +11,13 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import kmrot.rotation as rotation
 from kmrot import (
     Angle,
-    InvalidAlphaError,
     NonFiniteError,
     NormKind,
-    RotationOp,
     Vec2,
     ZeroVectorError,
-    apply_averaged,
     gamma,
     norm,
     sin_cos_pi,
@@ -102,8 +100,8 @@ class TestTrig:
 
     @given(angles)
     def test_on_unit_circle(self, a):
-        op = RotationOp(a)
-        assert op.cos_theta**2 + op.sin_theta**2 == pytest.approx(1.0, abs=1e-12)
+        s, c = sin_cos_pi(a.fraction)
+        assert c**2 + s**2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRotate:
@@ -285,36 +283,30 @@ class TestNormalizedRotate:
             turn(*_cs(Angle(1, 3)), 0.0, 0.0, True)
 
 
-class TestApplyAveraged:
+class TestAveragedStep:
     def test_half_turn_collapses_in_one_step(self):
-        out = apply_averaged(RotationOp(Angle(1, 1)), NormKind.L2, 0.5, Vec2(10.0, 30.0))
-        assert out == Vec2(0.0, 0.0)
+        out = averaged_step(*_cs(Angle(1, 1)), 0.5, 10.0, 30.0, False)
+        assert out == (0.0, 0.0)
 
     def test_quarter_turn_max_norm_step(self):
-        out = apply_averaged(RotationOp(Angle(1, 2)), NormKind.LINF, 0.5, Vec2(1.0, 0.0))
-        assert out == Vec2(0.5, 0.5)
+        out = averaged_step(*_cs(Angle(1, 2)), 0.5, 1.0, 0.0, True)
+        assert out == (0.5, 0.5)
 
     @given(angles, alphas)
     def test_origin_is_absorbing(self, a, alpha):
-        op = RotationOp(a)
-        assert apply_averaged(op, NormKind.LINF, alpha, Vec2(0.0, 0.0)) == Vec2(0.0, 0.0)
-        assert apply_averaged(op, NormKind.L2, alpha, Vec2(0.0, 0.0)) == Vec2(0.0, 0.0)
-
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
-    def test_alpha_must_be_interior(self, alpha):
-        op = RotationOp(Angle(1, 4))
-        with pytest.raises(InvalidAlphaError):
-            apply_averaged(op, NormKind.L2, alpha, Vec2(1.0, 1.0))
+        c, s = _cs(a)
+        assert averaged_step(c, s, alpha, 0.0, 0.0, True) == (0.0, 0.0)
+        assert averaged_step(c, s, alpha, 0.0, 0.0, False) == (0.0, 0.0)
 
     @given(angles, alphas, unit_scale_vectors)
     def test_max_norm_never_grows(self, a, alpha, x):
-        out = apply_averaged(RotationOp(a), NormKind.LINF, alpha, x)
+        out = Vec2(*averaged_step(*_cs(a), alpha, x.x1, x.x2, True))
         assert norm(out, NormKind.LINF) <= norm(x, NormKind.LINF) + 1e-12
 
     @given(angles, alphas, vectors)
     @example(Angle(1, 1), 0.4948021730295811, Vec2(0.0, 1.0))  # mu cancelled near theta = pi
     def test_l2_squared_norm_recursion_is_exact(self, a, alpha, x):
-        out = apply_averaged(RotationOp(a), NormKind.L2, alpha, x)
+        out = Vec2(*averaged_step(*_cs(a), alpha, x.x1, x.x2, False))
         lhs = out.x1 * out.x1 + out.x2 * out.x2
         rhs = mu(alpha, a) * (x.x1 * x.x1 + x.x2 * x.x2)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-280)
@@ -324,20 +316,33 @@ def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
 
+class TestKernelProbeAdapter:
+    """The two names the benchmark's kernel probe calls return averaged_step's bits."""
+
+    @pytest.mark.parametrize("kind", list(NormKind))
+    @pytest.mark.parametrize("x", [(0.0, -0.0), (-0.0, 0.0), (5e-324, -0.0), (0.6, -0.8),
+                                   (math.ldexp(0.6, 997), math.ldexp(-0.8, 997))])
+    def test_adapter_is_averaged_step(self, kind, x):
+        a = Angle(1, 12)
+        got = rotation.apply_averaged(rotation.RotationOp(a), kind, 0.5, Vec2(*x))
+        expected = averaged_step(*_cs(a), 0.5, *x, kind is NormKind.LINF)
+        assert tuple(map(_bits, got)) == tuple(map(_bits, expected))
+
+
 class TestKmStep:
     @given(angles, alphas, point_lists, st.sampled_from(NormKind))
     @example(Angle(1, 4), 0.5, [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], NormKind.L2)
     @example(Angle(1, 4), 0.5, [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)], NormKind.LINF)
     @example(Angle(1, 1), 0.5, [(-0.0, 3.0), (-0.0, -3.0), (2.0, -0.0)], NormKind.L2)
     @example(Angle(1, 64), 0.5, [(-0.0, 5e-324), (5e-324, -0.0)], NormKind.LINF)
-    def test_matches_apply_averaged_bitwise(self, a, alpha, points, kind):
-        op = RotationOp(a)
+    def test_matches_averaged_step_bitwise(self, a, alpha, points, kind):
+        c, s, linf = *_cs(a), kind is NormKind.LINF
         x1 = np.array([p[0] for p in points])
         x2 = np.array([p[1] for p in points])
-        y1, y2 = km_step(op.cos_theta, op.sin_theta, alpha, x1, x2, kind is NormKind.LINF)
+        y1, y2 = km_step(c, s, alpha, x1, x2, linf)
         for p, got1, got2 in zip(points, y1.tolist(), y2.tolist()):
-            expected = apply_averaged(op, kind, alpha, Vec2(*p))
-            assert (_bits(got1), _bits(got2)) == (_bits(expected.x1), _bits(expected.x2))
+            expected = averaged_step(c, s, alpha, *p, linf)
+            assert (_bits(got1), _bits(got2)) == tuple(map(_bits, expected))
 
     _zero_origins = [(x1, x2, w1, w2) for x1 in (0.0, -0.0) for x2 in (0.0, -0.0)
                      for w1 in (0.0, -0.0) for w2 in (0.0, -0.0)]
@@ -349,8 +354,7 @@ class TestKmStep:
     @example(Angle(1, 64), 0.5, _subnormal_starts, NormKind.L2)
     @example(Angle(1, 64), 0.5, _subnormal_starts, NormKind.LINF)
     def test_with_noise_matches_scalar_oracle_bitwise(self, a, alpha, points, kind):
-        op = RotationOp(a)
-        c, s, linf = op.cos_theta, op.sin_theta, kind is NormKind.LINF
+        c, s, linf = *_cs(a), kind is NormKind.LINF
         x1, x2, w1, w2 = (np.array(col) for col in zip(*points))
         y1, y2 = km_step(c, s, alpha, x1, x2, linf, w1, w2)
         for (p1, p2, n1, n2), got1, got2 in zip(points, y1.tolist(), y2.tolist()):
@@ -360,10 +364,9 @@ class TestKmStep:
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_noise_moves_the_origin(self, kind):
-        op = RotationOp(Angle(1, 3))
         zero = np.zeros(2)
         w1, w2 = np.array([0.5, -0.0]), np.array([-2.0, 0.0])
-        y1, y2 = km_step(op.cos_theta, op.sin_theta, 0.25, zero, zero, kind is NormKind.LINF, w1, w2)
+        y1, y2 = km_step(*_cs(Angle(1, 3)), 0.25, zero, zero, kind is NormKind.LINF, w1, w2)
         assert y1.tolist() == [0.125, 0.0] and y2.tolist() == [-0.5, 0.0]
 
 

@@ -27,11 +27,9 @@ from kmrot import (
     NoiseParams,
     NonFiniteError,
     NormKind,
-    RotationOp,
     Schedule,
     ScheduleKind,
     Vec2,
-    apply_averaged,
     l2_bound,
     linf_bound,
     mu,
@@ -62,7 +60,6 @@ def make_config(**overrides):
 ALPHA_ENTRIES = {
     "Schedule": lambda a: Schedule(ScheduleKind.CONSTANT, a),
     "McConfig": lambda a: make_config(alpha=a),
-    "apply_averaged": lambda a: apply_averaged(RotationOp(Angle(1, 4)), NormKind.L2, a, Vec2(1.0, 1.0)),
     "mu": lambda a: mu(a, Angle(1, 4)),
     "l2_bound": lambda a: l2_bound(Angle(1, 4), a, 1.0, 3),
     "linf_bound": lambda a: linf_bound(Angle(1, 4), a, 1.0, 3),
