@@ -33,6 +33,7 @@ from kmrot import (
     l2_bound,
     linf_bound,
     mu,
+    noise_bound,
     replica_rng,
     run_stochastic_km,
     sin_cos_pi,
@@ -63,6 +64,7 @@ ALPHA_ENTRIES = {
     "mu": lambda a: mu(a, Angle(1, 4)),
     "l2_bound": lambda a: l2_bound(Angle(1, 4), a, 1.0, 3),
     "linf_bound": lambda a: linf_bound(Angle(1, 4), a, 1.0, 3),
+    "noise_bound": lambda a: noise_bound(Angle(1, 4), a, 1.0, 2.0, 0.0, 3),
 }
 
 
