@@ -7,28 +7,32 @@ across the two components.  Under the Euclidean norm the harness pairs the
 empirical mean of ||x_k||^2 with the closed-form mean-square bound; the
 max-norm variant is simulation only and carries no bound.
 
-Reproducibility: replica r draws all of its Gaussians from a generator
-seeded by (seed, r), so per-replica paths never depend on how replicas are
-chunked or how steps are blocked.  A chunk of replicas hashes its seeds in
-one pass (seeding), draws one block of steps at a time and steps in place; every
-few steps, its squared norms are binned and folded into exact Python-int
-sums of x and x^2 per step (ExactSums), and only those sums are kept.  Up
-to one process per available CPU, at most one per chunk and with no
-option, each runs a near-equal contiguous range of replicas; their
-integer totals are added exactly, so every byte of the result is
-independent of the order of blocks and of the worker count.  Memory per
-process is O(_CHUNK * _STEPS) plus the per-step totals, for any replica
-or step count.  A chunk of 2048 replicas holds their generators (about
-0.6 KiB each), a 2 MiB draw buffer (_STEPS normal pairs per replica), one
-128 KiB slab of squared norms (_BLOCK values) and a few step vectors.
-Each mean is the exact mean rounded once; each standard error is the
-square root of the exact sample variance rounded once.  A noise-free run
-(a = b = 0) has one path, which run_km steps once.
+Reproducibility: the noise comes in blocks of _NOISE_BLOCK = 2048
+replicas.  Block b holds replicas [2048 b, 2048 (b + 1)), the run's last
+block cut at R, and is fed by default_rng([seed, b]) (replica_rng): at each
+step it draws one standard_normal((n_b, 2)), n_b = min(2048, R - 2048 b),
+and replica r's noise pair is row r - 2048 b of that draw.  So a path
+depends only on (seed, r), plus R for the replicas of a last, partial
+block; never on the chunk size, the slab size or the worker count.
 
-numpy and seeding are imported by the functions that use them, not by the
-module: kmrot and its CLI import this module's names, and simulate, bound
-and a noise-free mc never build an array, so they run without loading
-either.
+A chunk of at most _CHUNK replicas, never straddling a noise block, steps
+in place with its rows of each step's draw; every few steps, its squared
+norms are binned and folded into exact Python-int sums of x and x^2 per
+step (ExactSums), and only those sums are kept.  Up to one process per
+available CPU, at most one per chunk and with no option, each runs a
+near-equal contiguous range of replicas; their integer totals are added
+exactly, so every byte of the result is independent of the order of
+chunks and of the worker count.  Memory per process is O(_CHUNK) plus the
+per-step totals, for any replica or step count: a chunk holds one
+generator, one step's draw for its block (32 KiB), one 128 KiB slab of
+squared norms (_BLOCK values) and a few step vectors.  Each mean is the
+exact mean rounded once; each standard error is the square root of the
+exact sample variance rounded once.  A noise-free run (a = b = 0) has one
+path, which run_km steps once.
+
+numpy is imported by the functions that use it, not by the module: kmrot
+and its CLI import this module's names, and simulate, bound and a
+noise-free mc never build an array, so they run without loading it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 2048  # replicas stepped together
-_STEPS = 64  # steps drawn together
+_NOISE_BLOCK = 2048  # replicas whose noise one generator draws; part of the output contract
 _ADD_SAMPLES = 2**16
 _BLOCK = 2**14  # samples, and bins, per frexp/bincount pass; bounds the temporaries
 _SPAN = 36  # the largest piece shift, in exponent steps
@@ -85,7 +89,7 @@ class McConfig(namedtuple("McConfig", "theta alpha x1 noise replicas steps seed 
         check_count("steps", steps)
         if steps > MAX_MC_STEPS:
             raise OutOfRangeError(f"steps must be <= {MAX_MC_STEPS}: got {steps}")
-        if replicas > 2**64:  # replica numbers are seeded as 64-bit words
+        if replicas > 2**64:  # a bound on the input, as for steps: no larger run could end
             raise OutOfRangeError(f"replicas must be <= {2**64}: got {replicas}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer: got {seed}")
@@ -108,10 +112,17 @@ class McResult(NamedTuple):
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """The generator feeding replica `replica` of a run seeded with `seed`."""
+    """The generator that draws `replica`'s noise in a run seeded with `seed`.
+
+    It feeds the noise block b = replica // _NOISE_BLOCK, replicas
+    [2048 b, 2048 (b + 1)) cut at the run's R: each step draws one
+    standard_normal((n_b, 2)), n_b = min(2048, R - 2048 b), and replica r's
+    noise pair is row r - 2048 b.  _NOISE_BLOCK is part of the output
+    contract: another value changes every noisy byte.
+    """
     import numpy as np
 
-    return np.random.default_rng([seed, replica])
+    return np.random.default_rng([seed, replica // _NOISE_BLOCK])
 
 
 class ExactSums:
@@ -245,22 +256,19 @@ def _sqrt_ratio(p: int, q: int) -> float:
 
 
 def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Squared norms of replicas start .. stop-1, a slab of steps at a time.
+    """Squared norms of replicas start .. stop-1, all in one noise block, a slab of steps at a time.
 
     Yields (first, sq), where sq[j] holds step first + j of each replica.
     sq has at most _BLOCK // (stop - start) rows, as many as one ExactSums
     pass bins, and is a view of one slab that the next steps overwrite: use
-    it before asking for the next.  The replicas' generators live across
-    blocks of _STEPS steps; each block draws one normal pair per replica
-    and step into the replica's own row, and steps after every record, so
-    the step after the run's last record is computed and dropped.  A stream
-    drawn in pieces gives the same numbers as one draw.  Vectorized over
-    the replicas, which km_step steps in place; it is element-wise, so the
-    per-replica paths do not depend on the chunk, block or slab bounds.
+    it before asking for the next.  Before each step the block's generator
+    (replica_rng) draws the whole block's noise, and the chunk steps with
+    its own rows of that draw; the last record is followed by no draw and
+    no step, so a 1-step run builds no generator.  Vectorized over the
+    replicas, which km_step steps in place; it is element-wise, so the
+    per-replica paths do not depend on the chunk or slab bounds.
     """
     import numpy as np
-
-    from .seeding import replica_rngs
 
     steps = cfg.steps
     m = stop - start
@@ -268,8 +276,11 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
 
-    rngs = replica_rngs(cfg.seed, start, stop)
-    z = np.empty((m, min(_STEPS, steps), 2))
+    lo = start - start % _NOISE_BLOCK  # the noise block's first replica
+    if steps > 1:
+        rng = replica_rng(cfg.seed, start)
+    z = np.empty((min(_NOISE_BLOCK, cfg.replicas - lo), 2))
+    z1, z2 = z[start - lo:stop - lo, 0], z[start - lo:stop - lo, 1]
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
     w1, w2 = np.empty(m), np.empty(m)
@@ -277,10 +288,25 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
     scale = math.sqrt(a * 0.5)  # for b = 0; b * ||x||^2 would be 0 * inf = nan where ||x||^2 overflows
     row = 0
     for k in range(steps):
-        j = k % _STEPS
-        if j == 0:
-            for g, draws in zip(rngs, z):
-                g.standard_normal(out=draws[:steps - k])
+        if k:  # step from the last record, sq
+            rng.standard_normal(out=z)
+            if b > 0.0:
+                # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
+                if linf:
+                    np.multiply(x1, x1, out=w1)
+                    w1 += np.multiply(x2, x2, out=w2)
+                    w1 *= b
+                else:
+                    np.multiply(b, sq, out=w1)
+                w1 += a
+                w1 *= 0.5
+                np.sqrt(w1, out=w1)
+                np.multiply(w1, z2, out=w2)
+                w1 *= z1
+            else:
+                np.multiply(scale, z1, out=w1)
+                np.multiply(scale, z2, out=w2)
+            km_step(c, s, cfg.alpha, x1, x2, linf, w1, w2, out=(x1, x2))
         sq = slab[row]
         if linf:
             np.maximum(np.abs(x1, out=w1), np.abs(x2, out=w2), out=sq)
@@ -292,23 +318,6 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
         if row == len(slab) or k == steps - 1:
             yield k + 1 - row, slab[:row]
             row = 0
-        if b > 0.0:
-            # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
-            if linf:
-                np.multiply(x1, x1, out=w1)
-                w1 += np.multiply(x2, x2, out=w2)
-                w1 *= b
-            else:
-                np.multiply(b, sq, out=w1)
-            w1 += a
-            w1 *= 0.5
-            np.sqrt(w1, out=w1)
-            np.multiply(w1, z[:, j, 1], out=w2)
-            w1 *= z[:, j, 0]
-        else:
-            np.multiply(scale, z[:, j, 0], out=w1)
-            np.multiply(scale, z[:, j, 1], out=w2)
-        km_step(c, s, cfg.alpha, x1, x2, linf, w1, w2, out=(x1, x2))
 
 
 def _workers(chunks: int) -> int:
@@ -323,16 +332,17 @@ def _workers(chunks: int) -> int:
 def run_stochastic_km(cfg: McConfig) -> McResult:
     """Run `replicas` independent chains and average the squared norms.
 
-    Replicas run _CHUNK at a time, drawing _STEPS steps at a time, and
-    each slab of squared norms is added to exact per-step sums (ExactSums)
-    as it is stepped, so memory is O(_CHUNK * _STEPS) per process plus the
-    per-step totals for any replica or step count.  Process w of W runs
-    the replicas [R * w / W, R * (w + 1) / W), with W up to one per
-    available CPU and at most one per _CHUNK replicas (_workers); this
-    process forks the others, then reads, reaps and merges each in turn.
-    Integer totals make every byte of the result independent of the worker
-    count and of the chunk and block sizes.  Each mean is the exact mean
-    rounded once.  Without noise (a = b = 0) all replicas follow one path,
+    Replicas run _CHUNK at a time, in chunks that never straddle a noise
+    block (replica_rng), and each slab of squared norms is added to exact
+    per-step sums (ExactSums) as it is stepped, so memory is O(_CHUNK) per
+    process plus the per-step totals for any replica or step count.
+    Process w of W runs the replicas [R * w / W, R * (w + 1) / W), with W
+    up to one per available CPU and at most one per _CHUNK replicas
+    (_workers); this process forks the others, then reads, reaps and
+    merges each in turn.  A share bound inside a noise block makes both
+    processes draw that block.  Integer totals make every byte of the
+    result independent of the worker count and of the chunk and slab
+    sizes.  Each mean is the exact mean rounded once.  Without noise (a = b = 0) all replicas follow one path,
     which run_km steps once here, with no array and no fork: each mean is
     its squared norm and each standard error 0.  The Euclidean bound's
     initial-distance check runs before the simulation.  A replica whose
@@ -374,10 +384,12 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
     workers = _workers(-(-cfg.replicas // _CHUNK))
 
     def add_share(share: int) -> None:
-        lo, hi = (cfg.replicas * w // workers for w in (share, share + 1))
-        for start in range(lo, hi, _CHUNK):
-            for first, sq in _simulate_chunk(cfg, start, min(start + _CHUNK, hi)):
+        start, hi = (cfg.replicas * w // workers for w in (share, share + 1))
+        while start < hi:
+            stop = min(start + _CHUNK, start - start % _NOISE_BLOCK + _NOISE_BLOCK, hi)
+            for first, sq in _simulate_chunk(cfg, start, stop):
                 sums.add(sq, first)
+            start = stop
 
     pipes: dict[int, BinaryIO] = {}  # child pid -> read end of its pipe, until the child is reaped
     try:

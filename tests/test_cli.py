@@ -616,25 +616,25 @@ class TestCsvBytes:
         "mc --theta 1/4 --x1 1,3 --replicas 20 --steps 3 --seed 5": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,10,0,10,0\n"
-            "2,7.8929727907921228,0.56221116377396363,9.0355339059327378,0\n"
-            "3,8.0542217676345675,0.76748711330732167,8.2123106012293743,0\n"
+            "2,8.1642471021206848,0.6215579534423441,9.0355339059327378,0\n"
+            "3,6.286329983217219,0.6746478520439344,8.2123106012293743,0\n"
         ),
         "mc --theta 1/4 --x1 1,3 --A 0.1 --B 0.6 --replicas 20 --steps 3 --seed 3": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,10,0,,1\n"
-            "2,8.3326559288995501,0.9501280658088791,,1\n"
-            "3,8.3833392515514209,1.5200914175698323,,1\n"
+            "2,10.764872364272344,1.6380188547115242,,1\n"
+            "3,10.250582351739283,2.4735442657533633,,1\n"
         ),
         "mc --theta 1/4 --norm linf --x1 1,3 --A 0.5 --replicas 20 --steps 3 --seed 3": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,9,0,,\n"
-            "2,8.4991511820667913,0.30329063015466168,,\n"
-            "3,6.8026861508216623,0.53252120384805368,,\n"
+            "2,9.1255862180378458,0.41758958421827969,,\n"
+            "3,7.3225512031544095,0.51892096527048792,,\n"
         ),
         "mc --theta 1/6 --x1=-0,-0 --replicas 4 --steps 2": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,0,0,0,0\n"
-            "2,0.11457443229922204,0.048838975879158662,0.5,0\n"
+            "2,0.21684225741749691,0.14595225086687791,0.5,0\n"
         ),
     }
 

@@ -17,7 +17,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import kmrot.seeding as seeding
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
@@ -55,6 +54,36 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return McConfig(**base)
+
+
+def scalar_paths(cfg, replicas):
+    """Each listed replica's squared l2 norms, stepped one float at a time from its noise block's draws.
+
+    Block b's generator is default_rng([seed, b]); before each step it draws
+    one (n_b, 2) array, n_b = min(2048, R - 2048 b), and replica r takes
+    row r - 2048 b.
+    """
+    op_c, op_s = math.sqrt(0.5), math.sqrt(0.5)
+    draws = {}
+    for block in {r // 2048 for r in replicas}:
+        g = np.random.default_rng([cfg.seed, block])
+        n = min(2048, cfg.replicas - 2048 * block)
+        draws[block] = [g.standard_normal((n, 2)) for _ in range(cfg.steps - 1)]
+    paths = []
+    for r in replicas:
+        z = [step[r % 2048] for step in draws[r // 2048]]
+        x1, x2 = cfg.x1.x1, cfg.x1.x2
+        path = [x1 * x1 + x2 * x2]
+        for j in range(cfg.steps - 1):
+            sq = x1 * x1 + x2 * x2
+            rx1 = op_c * x1 - op_s * x2
+            rx2 = op_s * x1 + op_c * x2
+            scale = math.sqrt((cfg.noise.a + cfg.noise.b * sq) * 0.5)
+            x1 = (1.0 - cfg.alpha) * x1 + cfg.alpha * (rx1 + scale * z[j][0])
+            x2 = (1.0 - cfg.alpha) * x2 + cfg.alpha * (rx2 + scale * z[j][1])
+            path.append(x1 * x1 + x2 * x2)
+        paths.append(path)
+    return paths
 
 
 # every entry point that takes a step size, called with alpha = a
@@ -148,14 +177,14 @@ class TestRunStochastic:
         assert chunked.std_err == baseline.std_err
 
     def test_step_block_does_not_change_result(self, monkeypatch):
-        # a horizon one step past a whole number of blocks ends in a block
-        # of one step, whose noise and step after the record are dropped:
-        # 65 steps at 64, 129 at 128
+        # a horizon one step past a whole number of slabs ends in a slab of
+        # one step, after which nothing is drawn or stepped: 65 steps at 64,
+        # 129 at 128
         configs = [make_config(replicas=30, steps=steps, norm_kind=kind)
                    for steps in (1, 2, 64, 65, 129) for kind in NormKind]
         baselines = [run_stochastic_km(cfg) for cfg in configs]
         for block in (1, 3, 7, 64, 200):
-            monkeypatch.setattr(stochastic, "_STEPS", block)
+            monkeypatch.setattr(stochastic, "_BLOCK", block * 30)  # slabs of `block` steps
             for cfg, baseline in zip(configs, baselines):
                 blocked = run_stochastic_km(cfg)
                 assert blocked.mean_sq_norm == baseline.mean_sq_norm
@@ -164,24 +193,27 @@ class TestRunStochastic:
     def test_matches_scalar_reference(self):
         cfg = make_config(alpha=0.35, noise=NoiseParams(0.7, 0.3), replicas=3, steps=25, seed=99)
         res = run_stochastic_km(cfg)
-        op_c, op_s = math.sqrt(0.5), math.sqrt(0.5)
-        per_replica = []
-        for r in range(cfg.replicas):
-            z = replica_rng(cfg.seed, r).standard_normal((cfg.steps - 1, 2))
-            x1, x2 = cfg.x1.x1, cfg.x1.x2
-            path = [x1 * x1 + x2 * x2]
-            for j in range(cfg.steps - 1):
-                sq = x1 * x1 + x2 * x2
-                rx1 = op_c * x1 - op_s * x2
-                rx2 = op_s * x1 + op_c * x2
-                scale = math.sqrt((cfg.noise.a + cfg.noise.b * sq) * 0.5)
-                x1 = (1.0 - cfg.alpha) * x1 + cfg.alpha * (rx1 + scale * z[j, 0])
-                x2 = (1.0 - cfg.alpha) * x2 + cfg.alpha * (rx2 + scale * z[j, 1])
-                path.append(x1 * x1 + x2 * x2)
-            per_replica.append(path)
+        per_replica = scalar_paths(cfg, range(cfg.replicas))
         for k in range(cfg.steps):
             expected = float(sum(Fraction(path[k]) for path in per_replica) / cfg.replicas)
             assert res.mean_sq_norm[k] == expected
+
+    def test_matches_scalar_reference_across_a_noise_block_bound(self):
+        # replicas 2046 and 2047 take the last rows of block 0's draws, 2048
+        # and 2049 the only rows of block 1's, which holds 2 replicas
+        cfg = make_config(alpha=0.35, noise=NoiseParams(0.7, 0.3), replicas=2050, steps=25, seed=99)
+        paths = np.concatenate([np.concatenate([sq for _, sq in stochastic._simulate_chunk(cfg, lo, hi)])
+                                for lo, hi in ((2046, 2048), (2048, 2050))], axis=1)
+        assert paths.T.tolist() == scalar_paths(cfg, range(2046, 2050))
+
+    @pytest.mark.parametrize("kind", NormKind)
+    def test_one_step_run_draws_nothing(self, kind, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a 1-step run built a generator")
+
+        monkeypatch.setattr(stochastic, "replica_rng", fail)
+        res = run_stochastic_km(make_config(noise=NoiseParams(2.0, 0.1), steps=1, norm_kind=kind))
+        assert (res.mean_sq_norm, res.std_err) == ((10.0 if kind is NormKind.L2 else 9.0,), (0.0,))
 
     def test_mean_stays_under_bound(self):
         cfg = make_config(replicas=3000, steps=120, seed=424242)
@@ -400,6 +432,19 @@ class TestWorkers:
         # repr tells -0.0 from 0.0 and prints each float exactly
         assert len({repr(res) for res in results}) == 1
 
+    def test_worker_and_chunk_bounds_inside_noise_blocks_do_not_change_a_bit(self, monkeypatch):
+        # 4100 replicas are three noise blocks, the last of 4; shares and
+        # chunks of 1000 cut blocks 0 and 1 inside
+        cfg = make_config(replicas=4100, steps=3, noise=NoiseParams(2.0, 0.1))
+        results = []
+        for chunk in (2048, 1000):
+            monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+            for workers in (1, 2, 3):
+                force_workers(monkeypatch, workers)
+                results.append(run_stochastic_km(cfg))
+                assert_no_child_left()
+        assert len({repr(res) for res in results}) == 1
+
     def test_non_finite_counts_add_up_over_the_workers(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
         cfg = make_config(x1=Vec2(1e200, 1e200), norm_kind=NormKind.LINF, replicas=30, steps=2)
@@ -598,31 +643,6 @@ class TestWorkers:
         # 4097 replicas are three chunks: forked wherever there are two CPUs
         run_stochastic_km(make_config(replicas=4097, steps=3))
         assert_no_child_left()
-
-
-class TestSeedWords:
-    """Each chunk hashes its replicas' seeds at once, into the words SeedSequence([seed, r]) gives."""
-
-    # both ends of the seed range, and seeds of one and two 32-bit words
-    SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
-    # replica numbers around chunk bounds (2048), mc_long's worker bound
-    # (10 000 of 20 000), one and two 32-bit words, and the last one
-    REPLICAS = [(0, 3), (2046, 2051), (4095, 4098), (9998, 10003), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_words_are_the_seed_sequence_state(self, seed):
-        for start, stop in self.REPLICAS:
-            words = seeding.seed_words(seed, start, stop)
-            expected = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64) for r in range(start, stop)]
-            assert words.tolist() == np.array(expected).tolist()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_chunk_generators_draw_as_replica_rng(self, seed):
-        for start, stop in self.REPLICAS:
-            rngs = seeding.replica_rngs(seed, start, stop)
-            assert len(rngs) == stop - start
-            for r, g in zip(range(start, stop), rngs):
-                assert g.standard_normal(300).tolist() == replica_rng(seed, r).standard_normal(300).tolist()
 
 
 def exact_sums(samples, splits=()):
