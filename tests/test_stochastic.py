@@ -143,6 +143,56 @@ class TestDrawNoise:
         assert float(np.mean(np.sum(z * z, axis=1))) == pytest.approx(2.0, rel=0.01)
 
 
+def chunk_paths(cfg, start, stop):
+    """Squared norms of replicas start .. stop-1, one row per step, as _simulate_chunk gives them."""
+    return np.concatenate([sq.copy() for _, sq in stochastic._simulate_chunk(cfg, start, stop)])
+
+
+class TestNoiseBlocks:
+    """Block b of a run draws from default_rng([seed, b]); a path depends on R only in the last, partial block."""
+
+    # both ends of the seed range, and seeds of one and two 32-bit words
+    SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+    # replica numbers around block bounds (2048, 4096), mc_long's worker
+    # bound (10 000 of 20 000), one and two 32-bit words, and the last one
+    REPLICAS = [(0, 3), (2046, 2051), (4095, 4098), (9998, 10003), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_replica_rng_is_its_blocks_generator(self, seed):
+        for start, stop in self.REPLICAS:
+            draws = {}
+            for r in range(start, stop):
+                draws[r] = replica_rng(seed, r).standard_normal(300).tolist()
+                assert draws[r] == np.random.default_rng([seed, r // 2048]).standard_normal(300).tolist()
+            # one stream per block: neighbours share it, and a block bound splits them
+            for r in range(start, stop - 1):
+                assert (draws[r] == draws[r + 1]) is ((r + 1) % 2048 != 0)
+
+    @pytest.mark.parametrize("kind", NormKind)
+    def test_full_block_paths_do_not_depend_on_the_replica_count(self, kind):
+        def paths(replicas, start, stop):
+            cfg = make_config(replicas=replicas, steps=6, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
+            return chunk_paths(cfg, start, stop).tolist()
+
+        # replicas 2040 .. 2047 end block 0, full at any R >= 2048
+        assert len({repr(paths(r, 2040, 2048)) for r in (2048, 2050, 4096, 4100)}) == 1
+        # block 1 is full at R = 4096 and at 4100, which adds a block of 4
+        assert paths(4096, 2048, 2056) == paths(4100, 2048, 2056)
+
+    @pytest.mark.parametrize("kind", NormKind)
+    def test_a_partial_blocks_paths_depend_on_its_size(self, kind):
+        # block 1 holds 2 replicas at R = 2050 and 3 at R = 2051: the first
+        # step's pair of replica 2048 is the stream's first two numbers at
+        # both, the second step's is numbers 4-5 at one and 6-7 at the other
+        def paths(replicas):
+            cfg = make_config(replicas=replicas, steps=3, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
+            return chunk_paths(cfg, 2048, 2049)[:, 0].tolist()
+
+        two, three = paths(2050), paths(2051)
+        assert two[:2] == three[:2]
+        assert two[2] != three[2]
+
+
 class TestRunStochastic:
     def test_noiseless_single_replica_follows_exact_rate(self):
         cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=1, steps=100)
