@@ -3,8 +3,8 @@
 Every evaluator returns a BoundCurve aligned index-for-index with the
 iterates of run_km: values[i] bounds the distance to the fixed point at
 iterate k = i + 1, and values[0] always equals the initial distance
-(squared, for the mean-square noise bound).  The l2 and max-norm values
-are computed when read.  Bounds exist only for constant step sizes.
+(squared, for the mean-square noise bound).  Every value is computed when
+read.  Bounds exist only for constant step sizes.
 
 The max-norm bound searches for its per-period factor beta_u with
 kmrot.beta_search unless the caller passes one (the paper's table, say) or
@@ -122,7 +122,7 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
     + a * alpha^2 * (1 - rho^(k-1)) / (1 - rho).  Requires rho < 1; for
     b > 0 that means b < (1 - mu) / alpha^2.  Values bound the expected
     squared Euclidean norm, not the norm itself.  Raises NonFiniteError
-    when a value overflows (or the overflowing tail turns it nan).
+    when a value overflows or turns nan: at the call for k = 1, else when read.
     """
     check_count("k_max", k_max)
     check_finite_nonneg("initial squared distance", d_sq)
@@ -135,12 +135,14 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
         need = f" (need b < {(1.0 - m) / (alpha * alpha)})" if alpha * alpha > 0.0 else ""
         raise UnstableError(f"mu + alpha^2*b = {rho} >= 1; the noise series diverges{need}")
     tail = a * alpha * alpha / (1.0 - rho)
-    values = []
-    for k in range(1, k_max + 1):
+
+    def value(k: int) -> float:
         rk = rho ** (k - 1)
-        value = rk * d_sq + tail * (1.0 - rk)
-        if not math.isfinite(value):
-            raise NonFiniteError(f"noise bound not finite at k = {k}: got {value} "
+        v = rk * d_sq + tail * (1.0 - rk)
+        if not math.isfinite(v):
+            raise NonFiniteError(f"noise bound not finite at k = {k}: got {v} "
                                  f"(a * alpha^2 / (1 - rho) = {tail})")
-        values.append(value)
-    return BoundCurve(tuple(values))
+        return v
+
+    value(1)
+    return BoundCurve(_Curve(value, range(1, k_max + 1)))

@@ -8,7 +8,7 @@ they are written, ROWS_PER_WRITE rows per write call.  Exit codes: 0
 success, 1 the reader closed stdout before the table was written, 2 usage
 or config parse error or unwritable output, 3 domain precondition violated
 or a non-finite state.  An error within the first block of rows leaves no
-output; a later one leaves the header and the whole blocks before it.
+output; a later one, in mc too, leaves the header and the whole blocks before it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from itertools import count, islice
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, search_beta_u
@@ -26,7 +26,7 @@ from .bounds import l2_bound, linf_bound
 from .engine import Schedule, ScheduleKind, run_km
 from .errors import KmrotError
 from .rotation import Angle, NormKind, Vec2, norm
-from .stochastic import MAX_MC_STEPS, McConfig, NoiseParams, run_stochastic_km
+from .stochastic import MAX_MC_REPLICAS, McConfig, NoiseParams, run_stochastic_km
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -108,11 +108,6 @@ def _bound_values(args: argparse.Namespace, d: float, steps: int) -> Sequence[fl
     return linf_bound(args.theta, args.alpha, d, steps, beta_u).values
 
 
-def _rows(fmt: str, *columns) -> Iterable[str]:
-    """CSV lines fmt % (k, column values), k counted from 1, formatted as they are read."""
-    return map(fmt.__mod__, zip(count(1), *columns))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     kind = ScheduleKind(args.schedule)
     if kind is ScheduleKind.CONSTANT and args.alpha is None:
@@ -130,7 +125,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     d = norm(args.x1, NormKind(args.norm))
-    return "k,bound_value\n", _rows("%d,%.17g\n", _bound_values(args, d, args.steps))
+    return "k,bound_value\n", map("%d,%.17g\n".__mod__, zip(count(1), _bound_values(args, d, args.steps)))
 
 
 def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
@@ -155,10 +150,10 @@ def _cmd_mc(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     res = run_stochastic_km(cfg)
     header = "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
     if res.bound is not None:
-        return header, _rows("%d,%.17g,%.17g,%.17g,0\n",
-                             res.mean_sq_norm, res.std_err, res.bound.values)
+        return header, ("%d,%.17g,%.17g,%.17g,0\n" % (k, mean, serr, b)
+                        for k, (mean, serr), b in zip(count(1), res.rows, res.bound.values))
     fmt = "%d,%.17g,%.17g,,1\n" if res.unstable else "%d,%.17g,%.17g,,\n"
-    return header, _rows(fmt, res.mean_sq_norm, res.std_err)
+    return header, (fmt % (k, mean, serr) for k, (mean, serr) in zip(count(1), res.rows))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,11 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser("mc", help="Monte Carlo runs of the noisy iteration, in up to one process per "
                         "available CPU; the output does not depend on how many")
-    add_common(mc, f"iterates recorded per replica, at most {MAX_MC_STEPS}")
+    add_common(mc, "iterates recorded per replica, written as they are computed: memory does not grow with them")
     mc.add_argument("--A", type=_nonneg_arg, default=2.0, help="additive noise second moment")
     mc.add_argument("--B", type=_nonneg_arg, default=0.0,
                     help="state-proportional noise coefficient")
-    mc.add_argument("--replicas", type=_count_arg, default=10_000)
+    mc.add_argument("--replicas", type=_count_arg, default=10_000, help=f"independent runs, at most {MAX_MC_REPLICAS}")
     mc.add_argument("--seed", type=_seed_arg, default=0)
     mc.set_defaults(handler=_cmd_mc)
 
@@ -220,23 +215,25 @@ def _write_csv(header: str, rows: Iterable[str], out: str | None) -> int:
     """Write the table to `out` (stdout when None), ROWS_PER_WRITE rows per write call; return the exit code.
 
     The first block, header included, is built before anything is written or `out` is opened.
+    The rows are closed on every way out, and with them mc's, whose generator reaps its workers.
     """
     rows = iter(rows)
-    block = header + "".join(islice(rows, ROWS_PER_WRITE))
-    try:
-        with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
-            while block:
-                handle.write(block)
-                block = "".join(islice(rows, ROWS_PER_WRITE))
-            handle.flush()  # a closed pipe raises here, not at exit
-    except OSError as exc:
-        if out is None:
-            # Point stdout at devnull so that the flush at exit raises nothing.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if isinstance(exc, BrokenPipeError):
-                return EXIT_PIPE  # the reader closed the pipe: exit 1 quietly, as Python does on EPIPE
-        print(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with closing(rows) if hasattr(rows, "close") else nullcontext():
+        block = header + "".join(islice(rows, ROWS_PER_WRITE))
+        try:
+            with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
+                while block:
+                    handle.write(block)
+                    block = "".join(islice(rows, ROWS_PER_WRITE))
+                handle.flush()  # a closed pipe raises here, not at exit
+        except OSError as exc:
+            if out is None:
+                # Point stdout at devnull so that the flush at exit raises nothing.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if isinstance(exc, BrokenPipeError):
+                    return EXIT_PIPE  # the reader closed the pipe: exit 1 quietly, as Python does on EPIPE
+            print(f"error: cannot write {out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

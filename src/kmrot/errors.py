@@ -40,7 +40,7 @@ def check_finite_nonneg(name: str, x: float) -> None:
 
 
 class OutOfRangeError(KmrotError):
-    """Angle outside the domain supported by the operation."""
+    """An input outside what the operation supports: an angle, the replica count or the search work."""
 
 
 class UnsupportedAlphaError(KmrotError):

@@ -13,22 +13,22 @@ block cut at R, and is fed by default_rng([seed, b]) (replica_rng): at each
 step it draws one standard_normal((n_b, 2)), n_b = min(2048, R - 2048 b),
 and replica r's noise pair is row r - 2048 b of that draw.  So a path
 depends only on (seed, r), plus R for the replicas of a last, partial
-block; never on the chunk size, the slab size or the worker count.
+block; never on the chunk size, the step block or the worker count.
 
 A chunk of at most _CHUNK replicas, never straddling a noise block, steps
-in place with its rows of each step's draw; every few steps, its squared
-norms are binned and folded into exact Python-int sums of x and x^2 per
-step (ExactSums), and only those sums are kept.  Up to one process per
-available CPU, at most one per chunk and with no option, each runs a
-near-equal contiguous range of replicas; their integer totals are added
-exactly, so every byte of the result is independent of the order of
-chunks and of the worker count.  Memory per process is O(_CHUNK) plus the
-per-step totals, for any replica or step count: a chunk holds one
-generator, one step's draw for its block (32 KiB), one 128 KiB slab of
-squared norms (_BLOCK values) and a few step vectors.  Each mean is the
-exact mean rounded once; each standard error is the square root of the
-exact sample variance rounded once.  A noise-free run (a = b = 0) has one
-path, which run_km steps once.
+in place with its rows of each step's draw.  A run goes one step block at a
+time, as many steps as fill one ExactSums pass (_BLOCK values) of a whole
+chunk, at most 1024: each chunk's squared norms for the block are added
+into exact Python-int sums of x and x^2 per step (ExactSums).  Up to one
+process per available CPU, at most one per chunk and with no option, each
+runs a near-equal contiguous range of replicas; their integer totals are
+added exactly, so every byte of the result is independent of the order of
+chunks and of the worker count.  Memory per process is O(replicas / workers)
+plus one step block's totals: between blocks a chunk keeps its coordinates
+(16 bytes per replica) and one generator.  Each mean is the exact mean
+rounded once; each standard error is the square root of the exact sample
+variance rounded once.  A noise-free run (a = b = 0) has one path, which
+run_km steps as its rows are read.
 
 numpy is imported by the functions that use it, not by the module: kmrot
 and its CLI import this module's names, and simulate, bound and a
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import count
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 from .bounds import BoundCurve, noise_bound
@@ -58,10 +59,9 @@ _SPAN = 36  # the largest piece shift, in exponent steps
 _LIMB = 5  # bins per int64 limb of the fold
 _UNIT = 1073 + 53  # frexp exponents are >= -1073, so 2^-_UNIT divides every x
 
-# A run keeps exact totals, a mean and a standard error for every step,
-# about 0.6 KiB per step whatever the replica count: one replica of 2^19
-# steps peaked at 355 MiB under l2.
-MAX_MC_STEPS = 2**19
+# Between step blocks a run keeps about 17.5 bytes per replica: one process
+# with 2^24 replicas peaked at 315 MiB (x86-64 Linux, numpy 2.4.6).
+MAX_MC_REPLICAS = 2**24
 
 
 class NoiseParams(namedtuple("NoiseParams", "a b")):
@@ -87,26 +87,23 @@ class McConfig(namedtuple("McConfig", "theta alpha x1 noise replicas steps seed 
         check_alpha(alpha)
         check_count("replicas", replicas)
         check_count("steps", steps)
-        if steps > MAX_MC_STEPS:
-            raise OutOfRangeError(f"steps must be <= {MAX_MC_STEPS}: got {steps}")
-        if replicas > 2**64:  # a bound on the input, as for steps: no larger run could end
-            raise OutOfRangeError(f"replicas must be <= {2**64}: got {replicas}")
+        if replicas > MAX_MC_REPLICAS:
+            raise OutOfRangeError(f"replicas must be <= {MAX_MC_REPLICAS}: got {replicas}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer: got {seed}")
         return super().__new__(cls, theta, alpha, x1, noise, replicas, steps, seed, norm_kind)
 
 
 class McResult(NamedTuple):
-    """Per-step mean of the squared norm with its standard error.
+    """Per-step rows (mean of the squared norm, its standard error), computed as they are read.
 
     bound is the mean-square curve when one exists (Euclidean norm, stable
     noise level); unstable is set when the noise level breaks the stability
     condition, in which case no finite bound exists but the simulation
-    still ran.
+    still runs.
     """
 
-    mean_sq_norm: tuple[float, ...]
-    std_err: tuple[float, ...]
+    rows: Iterator[tuple[float, float]]
     bound: BoundCurve | None
     unstable: bool
 
@@ -216,7 +213,7 @@ class ExactSums:
             for k, v in enumerate(theirs):
                 mine[k] += v
 
-    def moments(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def moments(self, first: int = 0) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Per-series mean and standard error of the mean.
 
         mean = the exact mean rounded once, never larger in size than the
@@ -224,12 +221,12 @@ class ExactSums:
         variance (n * sum x^2 - (sum x)^2) / (n (n - 1)) is an exact ratio
         of integers rounded once; it is exactly 0 when all samples are
         equal, and 0 for n = 1.  Raises NonFiniteError when a series holds a
-        non-finite sample, naming the first such series k (counted from 1)
-        and the count.
+        non-finite sample, naming the first such series k (counted from
+        first + 1) and the count.
         """
         k = next((k for k, bad in enumerate(self._bad) if bad), None)
         if k is not None:
-            raise NonFiniteError(f"squared norm not finite at k = {k + 1}: "
+            raise NonFiniteError(f"squared norm not finite at k = {first + k + 1}: "
                                  f"{self._bad[k]} of {self.n} replicas")
         n = self.n
         # sx counts units of 2^-_UNIT
@@ -256,68 +253,69 @@ def _sqrt_ratio(p: int, q: int) -> float:
 
 
 def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Squared norms of replicas start .. stop-1, all in one noise block, a slab of steps at a time.
+    """Squared norms of replicas start .. stop-1, all in one noise block, a step block at a time.
 
-    Yields (first, sq), where sq[j] holds step first + j of each replica.
-    sq has at most _BLOCK // (stop - start) rows, as many as one ExactSums
-    pass bins, and is a view of one slab that the next steps overwrite: use
-    it before asking for the next.  Before each step the block's generator
-    (replica_rng) draws the whole block's noise, and the chunk steps with
-    its own rows of that draw; the last record is followed by no draw and
-    no step, so a 1-step run builds no generator.  Vectorized over the
-    replicas, which km_step steps in place; it is element-wise, so the
-    per-replica paths do not depend on the chunk or slab bounds.
+    Yields (first, sq), where sq[j] holds step first + j of each replica, in
+    a new array per step block; every chunk of a run has the same blocks
+    (see the module docstring), the last cut at cfg.steps.  Between blocks
+    it keeps only the coordinates and the noise block's generator
+    (replica_rng), which draws the whole block's noise before each step;
+    the chunk steps with its own rows of it, and after the last record
+    neither draws nor steps, so a 1-step run builds no generator.  km_step
+    steps the replicas in place, element-wise, so no path depends on the
+    chunk or block bounds.
     """
     import numpy as np
 
-    steps = cfg.steps
     m = stop - start
     a, b = cfg.noise.a, cfg.noise.b
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
-
     lo = start - start % _NOISE_BLOCK  # the noise block's first replica
-    if steps > 1:
-        rng = replica_rng(cfg.seed, start)
-    z = np.empty((min(_NOISE_BLOCK, cfg.replicas - lo), 2))
-    z1, z2 = z[start - lo:stop - lo, 0], z[start - lo:stop - lo, 1]
+    rng = replica_rng(cfg.seed, start) if cfg.steps > 1 else None
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
-    w1, w2 = np.empty(m), np.empty(m)
-    slab = np.empty((min(max(1, _BLOCK // m), steps), m))
     scale = math.sqrt(a * 0.5)  # for b = 0; b * ||x||^2 would be 0 * inf = nan where ||x||^2 overflows
-    row = 0
-    for k in range(steps):
-        if k:  # step from the last record, sq
-            rng.standard_normal(out=z)
-            if b > 0.0:
-                # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
+
+    def step_block(first: int, n: int) -> np.ndarray:
+        z = np.empty((min(_NOISE_BLOCK, cfg.replicas - lo), 2))
+        z1, z2 = z[start - lo:stop - lo, 0], z[start - lo:stop - lo, 1]
+        w1, w2 = np.empty(m), np.empty(m)
+        sq = np.empty((n, m))
+        # errstate lives in a context variable: one held across the yield
+        # below would hold in the reader's code too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, row in enumerate(sq, first):
+                if k:  # step from the last record
+                    rng.standard_normal(out=z)
+                    if b > 0.0:
+                        # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
+                        if linf or k == first:  # no l2 record of x in this block yet
+                            np.multiply(x1, x1, out=w1)
+                            w1 += np.multiply(x2, x2, out=w2)
+                            w1 *= b
+                        else:
+                            np.multiply(b, sq[k - first - 1], out=w1)
+                        w1 += a
+                        w1 *= 0.5
+                        np.sqrt(w1, out=w1)
+                        np.multiply(w1, z2, out=w2)
+                        w1 *= z1
+                    else:
+                        np.multiply(scale, z1, out=w1)
+                        np.multiply(scale, z2, out=w2)
+                    km_step(c, s, cfg.alpha, x1, x2, linf, w1, w2, out=(x1, x2))
                 if linf:
-                    np.multiply(x1, x1, out=w1)
-                    w1 += np.multiply(x2, x2, out=w2)
-                    w1 *= b
+                    np.maximum(np.abs(x1, out=w1), np.abs(x2, out=w2), out=row)
+                    row *= row
                 else:
-                    np.multiply(b, sq, out=w1)
-                w1 += a
-                w1 *= 0.5
-                np.sqrt(w1, out=w1)
-                np.multiply(w1, z2, out=w2)
-                w1 *= z1
-            else:
-                np.multiply(scale, z1, out=w1)
-                np.multiply(scale, z2, out=w2)
-            km_step(c, s, cfg.alpha, x1, x2, linf, w1, w2, out=(x1, x2))
-        sq = slab[row]
-        if linf:
-            np.maximum(np.abs(x1, out=w1), np.abs(x2, out=w2), out=sq)
-            sq *= sq
-        else:
-            np.multiply(x1, x1, out=sq)
-            sq += np.multiply(x2, x2, out=w1)
-        row += 1
-        if row == len(slab) or k == steps - 1:
-            yield k + 1 - row, slab[:row]
-            row = 0
+                    np.multiply(x1, x1, out=row)
+                    row += np.multiply(x2, x2, out=w1)
+        return sq
+
+    steps = min(1024, max(1, _BLOCK // min(_CHUNK, cfg.replicas)))
+    for first in range(0, cfg.steps, steps):
+        yield first, step_block(first, min(steps, cfg.steps - first))
 
 
 def _workers(chunks: int) -> int:
@@ -332,23 +330,19 @@ def _workers(chunks: int) -> int:
 def run_stochastic_km(cfg: McConfig) -> McResult:
     """Run `replicas` independent chains and average the squared norms.
 
-    Replicas run _CHUNK at a time, in chunks that never straddle a noise
-    block (replica_rng), and each slab of squared norms is added to exact
-    per-step sums (ExactSums) as it is stepped, so memory is O(_CHUNK) per
-    process plus the per-step totals for any replica or step count.
-    Process w of W runs the replicas [R * w / W, R * (w + 1) / W), with W
-    up to one per available CPU and at most one per _CHUNK replicas
-    (_workers); this process forks the others, then reads, reaps and
-    merges each in turn.  A share bound inside a noise block makes both
-    processes draw that block.  Integer totals make every byte of the
-    result independent of the worker count and of the chunk and slab
-    sizes.  Each mean is the exact mean rounded once.  Without noise (a = b = 0) all replicas follow one path,
-    which run_km steps once here, with no array and no fork: each mean is
-    its squared norm and each standard error 0.  The Euclidean bound's
-    initial-distance check runs before the simulation.  A replica whose
-    squared norm overflows or turns nan raises NonFiniteError; the first
-    worker that sends no totals ends the run with RuntimeError.  After any
-    failure, the workers not yet reaped are killed, then reaped.
+    Returns after the Euclidean bound and its initial-distance check; the
+    rows (mean, std_err) are computed as they are read, a step block at a
+    time.  Process w of W runs the replicas [R * w / W, R * (w + 1) / W),
+    with W up to one per available CPU and at most one per _CHUNK replicas
+    (_workers); the first row read forks the others, and a share bound
+    inside a noise block makes both processes draw that block.  Per step
+    block this process adds each worker's exact sums to its own, in fork
+    order, and yields the block's rows.  Without noise (a = b = 0) all
+    replicas follow one path, which run_km steps as the rows are read, with
+    no array and no fork: each mean is its squared norm and each standard
+    error 0.  A non-finite squared norm raises NonFiniteError at its step; a
+    worker that sends no totals raises RuntimeError.  When the rows end, fail
+    or are closed, the workers are killed if still running, and reaped.
     """
     bound: BoundCurve | None = None
     unstable = False
@@ -358,73 +352,77 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             bound = noise_bound(cfg.theta, cfg.alpha, d_sq, cfg.noise.a, cfg.noise.b, cfg.steps)
         except UnstableError:
             unstable = True
+    if cfg.noise != (0.0, 0.0):
+        return McResult(_noisy_rows(cfg), bound, unstable)
 
-    if cfg.noise == (0.0, 0.0):
-        # km_step without noise is averaged_step bit for bit, and the exact
-        # mean of equal samples is that sample
-        mean = []
-        path = run_km(cfg.theta, cfg.norm_kind, Schedule(ScheduleKind.CONSTANT, cfg.alpha), cfg.x1, cfg.steps)
-        for k, (y1, y2, n) in enumerate(path, 1):
-            sq = y1 * y1 + y2 * y2 if cfg.norm_kind is NormKind.L2 else n * n
-            if not math.isfinite(sq):  # before the next step, which may overflow
-                raise NonFiniteError(f"squared norm not finite at k = {k}: {cfg.replicas} of {cfg.replicas} replicas")
-            mean.append(sq)
-        return McResult(tuple(mean), (0.0,) * cfg.steps, bound, unstable)
+    # km_step without noise is averaged_step bit for bit, and the exact
+    # mean of equal samples is that sample
+    def row(k: int, y: tuple[float, float, float]) -> tuple[float, float]:
+        sq = y[0] * y[0] + y[1] * y[1] if cfg.norm_kind is NormKind.L2 else y[2] * y[2]
+        if not math.isfinite(sq):  # before the next step, which may overflow
+            raise NonFiniteError(f"squared norm not finite at k = {k}: {cfg.replicas} of {cfg.replicas} replicas")
+        return sq, 0.0
 
+    path = run_km(cfg.theta, cfg.norm_kind, Schedule(ScheduleKind.CONSTANT, cfg.alpha), cfg.x1, cfg.steps)
+    return McResult(map(row, count(1), path), bound, unstable)
+
+
+def _noisy_rows(cfg: McConfig) -> Iterator[tuple[float, float]]:
+    """The rows of a noisy run, one step block at a time, as run_stochastic_km describes."""
     # numpy first: it loads pickle itself, and a 20 000 x 500 run that
     # imported pickle before numpy peaked about 0.9 MiB higher
-    import numpy as np
+    import numpy  # noqa: F401
 
     import os
     import pickle
     import signal
     import sys
 
-    sums = ExactSums(cfg.steps, cfg.replicas)
     workers = _workers(-(-cfg.replicas // _CHUNK))
 
-    def add_share(share: int) -> None:
-        start, hi = (cfg.replicas * w // workers for w in (share, share + 1))
+    def blocks(w: int) -> Iterator[tuple[int, ExactSums]]:
+        """Each step block's first step and the exact sums of process w's squared norms in it."""
+        start, hi = (cfg.replicas * v // workers for v in (w, w + 1))
+        chunks = []
         while start < hi:
             stop = min(start + _CHUNK, start - start % _NOISE_BLOCK + _NOISE_BLOCK, hi)
-            for first, sq in _simulate_chunk(cfg, start, stop):
-                sums.add(sq, first)
+            chunks.append(_simulate_chunk(cfg, start, stop))
             start = stop
+        for first, sq in chunks[0]:  # the first chunk paces the blocks
+            sums = ExactSums(len(sq), cfg.replicas)
+            sums.add(sq)
+            for chunk in chunks[1:]:
+                sums.add(next(chunk)[1])
+            yield first, sums
 
-    pipes: dict[int, BinaryIO] = {}  # child pid -> read end of its pipe, until the child is reaped
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), until it is reaped
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for share in range(1, workers):
-                r, w = os.pipe()
-                if (pid := os.fork()) == 0:  # the child: add its share, send its sums, leave without clean-up
-                    try:
-                        add_share(share)
-                        with open(w, "wb") as pipe:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: send each block's sums, leave without clean-up
+                try:
+                    with open(wfd, "wb") as pipe:
+                        for _, sums in blocks(w):
                             pickle.dump(sums, pipe)
-                        os._exit(0)
-                    except Exception:
-                        sys.excepthook(*sys.exc_info())
-                        sys.stderr.flush()
-                    finally:
-                        os._exit(1)
-                os.close(w)
-                pipes[pid] = open(r, "rb")
-            add_share(0)
-        for pid, pipe in list(pipes.items()):  # one worker at a time, in fork order
-            with pipe:
-                part = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del pipes[pid]
-            if status != 0:
-                raise RuntimeError("a Monte Carlo worker process ended without sending its totals")
-            totals = pickle.loads(part)
-            del part  # the worker's bytes go before the merge, its totals after it
-            sums.merge(totals)
-            del totals
+                            pipe.flush()
+                    os._exit(0)
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                    sys.stderr.flush()
+                finally:
+                    os._exit(1)
+            os.close(wfd)
+            children.append((pid, open(r, "rb")))
+        for first, sums in blocks(0):
+            for _, pipe in children:  # one worker at a time, in fork order
+                try:
+                    sums.merge(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError("a Monte Carlo worker process ended without sending its totals") from None
+            yield from zip(*sums.moments(first))
     finally:
-        for pid, pipe in pipes.items():  # only after a failure: the workers not yet reaped
+        # at the end every worker has sent all it will, so killing it loses nothing
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    mean, serr = sums.moments()
-    return McResult(mean, serr, bound, unstable)

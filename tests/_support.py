@@ -5,12 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import random
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
 
-from kmrot import Angle, BoundCurve, McConfig, beta_l, mu, pseudo_period, run_km, sin_cos_pi
+import pytest
+
+from kmrot import Angle, BoundCurve, McConfig, beta_l, mu, pseudo_period, run_km, run_stochastic_km, sin_cos_pi
 from kmrot.cli import main
 from kmrot.rotation import averaged_step
 
@@ -35,6 +38,12 @@ def sample_angle(rng: random.Random, max_q: int = 64, upper: int = 2) -> Angle:
 def parse_csv(text: str) -> tuple[list[str], list[list[str]]]:
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def assert_no_child_left() -> None:
+    """No child process of this one is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(argv: list[str], capsys) -> tuple[int, str, str]:
@@ -107,6 +116,22 @@ def trajectory(*args) -> Columns:
 def values(curve: BoundCurve) -> tuple[float, ...]:
     """Every value of a bound curve, read into a tuple."""
     return tuple(curve.values)
+
+
+class McColumns(NamedTuple):
+    """The rows of a Monte Carlo run as columns, with its bound's values read into a tuple."""
+
+    mean_sq_norm: tuple[float, ...]
+    std_err: tuple[float, ...]
+    bound: BoundCurve | None
+    unstable: bool
+
+
+def mc_columns(cfg: McConfig) -> McColumns:
+    """run_stochastic_km(cfg), read to the end and collected into columns."""
+    res = run_stochastic_km(cfg)
+    mean, serr = zip(*res.rows)
+    return McColumns(mean, serr, None if res.bound is None else BoundCurve(values(res.bound)), res.unstable)
 
 
 class PeriodReport(NamedTuple):

@@ -25,7 +25,6 @@ from kmrot import (
     noise_bound,
     norm,
     optimal_alpha_l2,
-    run_stochastic_km,
     search_beta_u,
     sin_cos_pi,
 )
@@ -34,6 +33,7 @@ from kmrot.rotation import averaged_step, turn
 from _support import (
     PUBLISHED_BETA_U,
     Z_MC,
+    mc_columns,
     mc_z_scores,
     run_cli,
     sample_angle,
@@ -178,7 +178,7 @@ def _c08_config(a: float) -> McConfig:
 def test_c08_monte_carlo_additive_noise():
     start = time.perf_counter()
     cfg = _c08_config(2.0)
-    res = run_stochastic_km(cfg)
+    res = mc_columns(cfg)
     assert res.bound is not None and not res.unstable
     worst = max(map(abs, mc_z_scores(cfg, res.mean_sq_norm)))
     assert worst <= Z_MC
@@ -192,7 +192,7 @@ def test_c08_monte_carlo_additive_noise():
 
 def test_c08_check_rejects_a_wrong_noise_level():
     # A = 1.6 passes a one-sided check against the A = 2 bound at every step
-    res = run_stochastic_km(_c08_config(1.6))
+    res = mc_columns(_c08_config(1.6))
     assert max(map(abs, mc_z_scores(_c08_config(2.0), res.mean_sq_norm))) > Z_MC
 
 
@@ -202,7 +202,7 @@ def test_c09_monte_carlo_proportional_noise():
         theta=Angle(1, 4), alpha=0.5, x1=Vec2(1.0, 3.0),
         noise=NoiseParams(0.1, 0.5), replicas=10_000, steps=1000, seed=MC_SEED,
     )
-    res = run_stochastic_km(cfg)
+    res = mc_columns(cfg)
     assert res.bound is not None and not res.unstable
     # the exact standard error, not the printed one: Var r_k grows like kappa^k, kappa = 1.19 here
     worst = max(map(abs, mc_z_scores(cfg, res.mean_sq_norm)))
@@ -237,10 +237,10 @@ def test_c11_determinism(tmp_path, capsys, monkeypatch):
         theta=Angle(1, 4), alpha=0.5, x1=Vec2(1.0, 3.0),
         noise=NoiseParams(2.0, 0.0), replicas=10_000, steps=100, seed=MC_SEED,
     )
-    baseline = run_stochastic_km(cfg)
+    baseline = mc_columns(cfg)
     for chunk in (1000, 4999):
         monkeypatch.setattr(stochastic, "_CHUNK", chunk)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert res.mean_sq_norm == baseline.mean_sq_norm
         assert res.std_err == baseline.std_err
     _report(11, "same seed gives byte-identical CSV; chunk sizes agree bit for bit")

@@ -90,16 +90,25 @@ class TestL2Bound:
             assert curve.values[0] == d
 
 
+def eager_noise(k: int) -> float:
+    """noise_bound(Angle(1, 12), 0.3, 7.5, 2.0, 0.1, .)'s value at k, spelled as its eager loop spelled it."""
+    rho = mu(0.3, Angle(1, 12)) + 0.3 * 0.3 * 0.1
+    rk = rho ** (k - 1)
+    return rk * 7.5 + 2.0 * 0.3 * 0.3 / (1.0 - rho) * (1.0 - rk)
+
+
 class TestLazyValues:
-    """l2_bound and linf_bound values are a read-only sequence evaluated as read."""
+    """l2_bound, linf_bound and noise_bound values are a read-only sequence evaluated as read."""
 
     CURVES = {
         "l2": lambda k_max: l2_bound(Angle(1, 12), 0.3, 7.5, k_max),
         "linf": lambda k_max: linf_bound(Angle(1, 12), 0.5, 7.5, k_max, beta_u=0.8974),
+        "noise": lambda k_max: noise_bound(Angle(1, 12), 0.3, 7.5, 2.0, 0.1, k_max),
     }
     EAGER = {  # the expressions evaluated before the values were lazy
         "l2": lambda k: mu(0.3, Angle(1, 12)) ** ((k - 1) / 2) * 7.5,
         "linf": lambda k: 0.8974 ** ((k - 1) // pseudo_period(Angle(1, 12))) * 7.5,
+        "noise": eager_noise,
     }
 
     @pytest.mark.parametrize("name", sorted(CURVES))

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import copy
+import errno
 import inspect
 import io
 import itertools
@@ -28,7 +29,6 @@ from kmrot import (
     BoundCurve,
     InvalidAlphaError,
     McConfig,
-    McResult,
     NoiseParams,
     NonFiniteError,
     NormKind,
@@ -42,7 +42,7 @@ from kmrot import (
 )
 from kmrot.beta_search import MIN_GRID_STEP
 
-from _support import PUBLISHED_BETA_U, parse_csv, run_cli, trajectory
+from _support import PUBLISHED_BETA_U, assert_no_child_left, parse_csv, run_cli, trajectory
 
 
 class TestSimulate:
@@ -177,6 +177,14 @@ class TestStreaming:
         code, short = traced_peak(argv + ["2000"])
         assert code == 0
         assert traced_peak(argv + ["200000"]) == (0, pytest.approx(short, abs=2**20))
+
+    def test_mc_memory_is_flat_in_steps(self, tmp_path):
+        # one replica runs 1024-step blocks; totals for every step would
+        # take about 0.6 KiB each, 4.7 MiB more at 10 000 steps
+        argv = f"mc --theta 1/6 --norm linf --replicas 1 --out {tmp_path / 'o.csv'} --steps".split()
+        code, short = traced_peak(argv + ["2000"])
+        assert code == 0
+        assert traced_peak(argv + ["10000"]) == (0, pytest.approx(short, abs=2**20))
 
     def stub_iterates(self, monkeypatch, good: int) -> None:
         """Make run_km's iterates raise NonFiniteError after `good` real ones."""
@@ -341,14 +349,60 @@ class TestMc:
         _, rows = parse_csv(out)
         assert [r[3:] for r in rows] == [["", "1"]] * 3
 
-    @pytest.mark.parametrize("steps", [10**15, 2**64])
-    def test_steps_above_the_limit_exit_3_before_any_work(self, steps, capsys):
-        argv = f"mc --theta 1/6 --norm linf --replicas 5 --steps {steps}".split()
-        assert run_cli(argv, capsys) == (3, "", f"error: steps must be <= {stochastic.MAX_MC_STEPS}: got {steps}\n")
+    @pytest.mark.parametrize("replicas", [stochastic.MAX_MC_REPLICAS + 1, 2**64 + 1])
+    def test_replicas_above_the_limit_exit_3_before_any_work(self, replicas, capsys):
+        argv = f"mc --theta 1/6 --norm linf --replicas {replicas} --steps 5".split()
+        limit = stochastic.MAX_MC_REPLICAS
+        assert run_cli(argv, capsys) == (3, "", f"error: replicas must be <= {limit}: got {replicas}\n")
 
-    def test_replicas_past_64_bit_replica_numbers_exit_3_before_any_work(self, capsys):
-        argv = f"mc --theta 1/6 --replicas {2**64 + 1} --steps 3".split()
-        assert run_cli(argv, capsys) == (3, "", f"error: replicas must be <= {2**64}: got {2**64 + 1}\n")
+    # 4097 replicas are three chunks over two processes, and 3000 steps
+    # outlast the first write; each way out must reap both workers
+    MC_FORKED = "mc --theta 1/6 --B 0.1 --replicas 4097 --steps 3000".split()
+
+    @staticmethod
+    def fork_two_and_check_write_csv_reaps(monkeypatch):
+        """Two workers; no child may be left when _write_csv returns, while main still holds the rows."""
+        real = cli._write_csv
+
+        def write_csv(*args):
+            code = real(*args)
+            assert_no_child_left()
+            return code
+
+        monkeypatch.setattr(cli, "_write_csv", write_csv)
+        monkeypatch.setattr(stochastic, "_workers", lambda chunks: 2)
+
+    def test_reader_gone_at_the_first_write_reaps_the_workers(self, monkeypatch, tmp_path):
+        class BrokenPipeStdout:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def fileno(self):
+                return self.fd
+
+        self.fork_two_and_check_write_csv_reaps(monkeypatch)
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", BrokenPipeStdout(fd))
+            assert cli.main(self.MC_FORKED) == cli.EXIT_PIPE
+        finally:
+            os.close(fd)
+        assert_no_child_left()
+
+    def test_unwritable_out_reaps_the_workers(self, monkeypatch, tmp_path, capsys):
+        self.fork_two_and_check_write_csv_reaps(monkeypatch)
+        argv = self.MC_FORKED + ["--out", str(tmp_path / "missing" / "o.csv")]
+        assert run_cli(argv, capsys)[0] == cli.EXIT_USAGE
+        assert_no_child_left()
+
+    def test_non_finite_state_after_the_first_write_leaves_the_whole_blocks(self, capsys):
+        # the square of one of 5 replicas first overflows at k = 7670
+        code, out, err = run_cli("mc --theta 1/6 --B 3 --replicas 5 --steps 8000 --seed 1".split(), capsys)
+        assert (code, err) == (3, "error: squared norm not finite at k = 7670: 1 of 5 replicas\n")
+        assert out.count("\n") == 1 + 7 * cli.ROWS_PER_WRITE
 
     def test_max_norm_mode_has_no_bound(self, capsys):
         code, out, _ = run_cli(
@@ -547,11 +601,10 @@ class TestOptionSweep:
         "search-beta": ["search-beta --theta 1/6"],
         "mc": ["mc --theta 1/6 --replicas 5 --steps 3 --norm l2", "mc --theta 1/6 --replicas 5 --steps 3 --norm linf"],
     }
-    # an alpha whose square underflows; step counts past the mc limit, under
-    # linf only, where nothing but the per-step totals grows with --steps
+    # an alpha whose square underflows; replica counts past the mc limit
     MC_CASES = ["mc --theta 1/6 --alpha 1e-200 --replicas 5 --steps 3",
-                "mc --theta 1/6 --norm linf --replicas 5 --steps 18446744073709551616",
-                "mc --theta 1/6 --norm linf --replicas 5 --steps 1000000000000000"]
+                f"mc --theta 1/6 --norm linf --replicas {stochastic.MAX_MC_REPLICAS + 1} --steps 3",
+                f"mc --theta 1/6 --norm linf --replicas {2**64 + 1} --steps 3"]
 
     @staticmethod
     def problem(argv: list[str], capsys) -> str | None:
@@ -896,7 +949,6 @@ class TestRecords:
          "BetaSearchResult(theta=Angle(p=1, q=2), period=2, beta_u=0.5, argmax_start=Vec2(x1=0.0, x2=1.0), "
          "grid_step=0.001)"),
         (BoundCurve((1.0, 0.5)), "BoundCurve(values=(1.0, 0.5))"),
-        (McResult((1.0,), (0.0,), None, True), "McResult(mean_sq_norm=(1.0,), std_err=(0.0,), bound=None, unstable=True)"),
     ]
 
     def test_angle_is_stored_in_lowest_terms_and_hashes_so(self):
@@ -940,12 +992,12 @@ class TestRecords:
         (lambda: NoiseParams(1.0, -0.5), ValueError, "noise parameter b must be >= 0: got -0.5"),
         (lambda: _config(alpha=1.0, replicas=0, seed=-1), InvalidAlphaError, "alpha must lie in (0, 1): got 1.0"),
         (lambda: _config(replicas=0, seed=-1), ValueError, "replicas must be >= 1: got 0"),
-        (lambda: _config(steps=stochastic.MAX_MC_STEPS + 1), OutOfRangeError,
-         f"steps must be <= {stochastic.MAX_MC_STEPS}: got {stochastic.MAX_MC_STEPS + 1}"),
+        (lambda: _config(replicas=stochastic.MAX_MC_REPLICAS + 1), OutOfRangeError,
+         f"replicas must be <= {stochastic.MAX_MC_REPLICAS}: got {stochastic.MAX_MC_REPLICAS + 1}"),
         (lambda: _config(seed=2**64), ValueError,
          "seed must fit in an unsigned 64-bit integer: got 18446744073709551616"),
         (lambda: _config(replicas=2**64 + 1), OutOfRangeError,
-         "replicas must be <= 18446744073709551616: got 18446744073709551617"),
+         f"replicas must be <= {stochastic.MAX_MC_REPLICAS}: got 18446744073709551617"),
     ])
     def test_check_messages(self, build, error, message):
         with pytest.raises(error) as info:

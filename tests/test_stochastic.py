@@ -3,11 +3,10 @@
 import contextlib
 import math
 import os
-import pickle
 import signal
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 import tracemalloc
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from kmrot import (
 )
 from kmrot.rotation import km_step
 
-from _support import Z_MC, mc_z_scores
+from _support import Z_MC, assert_no_child_left, mc_columns, mc_z_scores
 
 
 def make_config(**overrides):
@@ -196,33 +195,33 @@ class TestNoiseBlocks:
 class TestRunStochastic:
     def test_noiseless_single_replica_follows_exact_rate(self):
         cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=1, steps=100)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         g = mu(cfg.alpha, cfg.theta)
         for i, value in enumerate(res.mean_sq_norm):
             assert value == pytest.approx(g**i * 10.0, rel=1e-12)
         assert all(se == 0.0 for se in res.std_err)
 
     def test_identical_config_identical_result(self):
-        a = run_stochastic_km(make_config())
-        b = run_stochastic_km(make_config())
+        a = mc_columns(make_config())
+        b = mc_columns(make_config())
         assert a.mean_sq_norm == b.mean_sq_norm
         assert a.std_err == b.std_err
 
     def test_chunk_count_does_not_change_result(self, monkeypatch):
         # the replicas of both norms split into 400, 58, 3 and 2 chunks
         configs = [make_config(replicas=400, norm_kind=kind) for kind in NormKind]
-        baselines = [run_stochastic_km(cfg) for cfg in configs]
+        baselines = [mc_columns(cfg) for cfg in configs]
         for chunk in (1, 7, 149, 399):
             monkeypatch.setattr(stochastic, "_CHUNK", chunk)
             for cfg, baseline in zip(configs, baselines):
-                chunked = run_stochastic_km(cfg)
+                chunked = mc_columns(cfg)
                 assert chunked.mean_sq_norm == baseline.mean_sq_norm
                 assert chunked.std_err == baseline.std_err
 
     def test_chunk_size_does_not_change_result(self, monkeypatch):
-        baseline = run_stochastic_km(make_config(replicas=100))
+        baseline = mc_columns(make_config(replicas=100))
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
-        chunked = run_stochastic_km(make_config(replicas=100))
+        chunked = mc_columns(make_config(replicas=100))
         assert chunked.mean_sq_norm == baseline.mean_sq_norm
         assert chunked.std_err == baseline.std_err
 
@@ -232,17 +231,17 @@ class TestRunStochastic:
         # 129 at 128
         configs = [make_config(replicas=30, steps=steps, norm_kind=kind)
                    for steps in (1, 2, 64, 65, 129) for kind in NormKind]
-        baselines = [run_stochastic_km(cfg) for cfg in configs]
+        baselines = [mc_columns(cfg) for cfg in configs]
         for block in (1, 3, 7, 64, 200):
             monkeypatch.setattr(stochastic, "_BLOCK", block * 30)  # slabs of `block` steps
             for cfg, baseline in zip(configs, baselines):
-                blocked = run_stochastic_km(cfg)
+                blocked = mc_columns(cfg)
                 assert blocked.mean_sq_norm == baseline.mean_sq_norm
                 assert blocked.std_err == baseline.std_err
 
     def test_matches_scalar_reference(self):
         cfg = make_config(alpha=0.35, noise=NoiseParams(0.7, 0.3), replicas=3, steps=25, seed=99)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         per_replica = scalar_paths(cfg, range(cfg.replicas))
         for k in range(cfg.steps):
             expected = float(sum(Fraction(path[k]) for path in per_replica) / cfg.replicas)
@@ -262,39 +261,47 @@ class TestRunStochastic:
             raise AssertionError("a 1-step run built a generator")
 
         monkeypatch.setattr(stochastic, "replica_rng", fail)
-        res = run_stochastic_km(make_config(noise=NoiseParams(2.0, 0.1), steps=1, norm_kind=kind))
+        res = mc_columns(make_config(noise=NoiseParams(2.0, 0.1), steps=1, norm_kind=kind))
         assert (res.mean_sq_norm, res.std_err) == ((10.0 if kind is NormKind.L2 else 9.0,), (0.0,))
 
     def test_mean_stays_under_bound(self):
         cfg = make_config(replicas=3000, steps=120, seed=424242)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert res.bound is not None and not res.unstable
         assert max(map(abs, mc_z_scores(cfg, res.mean_sq_norm))) <= Z_MC
 
     def test_reaches_steady_state(self):
         cfg = make_config(replicas=3000, steps=120, seed=424242)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         limit = cfg.noise.a * cfg.alpha**2 / (1.0 - mu(cfg.alpha, cfg.theta))
         assert res.mean_sq_norm[-1] == pytest.approx(limit, rel=0.1)
 
     def test_unstable_noise_is_flagged_not_raised(self):
         cfg = make_config(noise=NoiseParams(2.0, 0.6), replicas=50, steps=60)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert res.unstable
         assert res.bound is None
         assert all(math.isfinite(v) for v in res.mean_sq_norm)
 
     def test_max_norm_mode_is_simulation_only(self):
         cfg = make_config(norm_kind=NormKind.LINF, replicas=60, steps=30)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert res.bound is None
         assert not res.unstable
         assert res.mean_sq_norm[0] == 9.0  # max-norm of (1, 3), squared
-        again = run_stochastic_km(cfg)
+        again = mc_columns(cfg)
         assert res.mean_sq_norm == again.mean_sq_norm
 
+    def test_reader_keeps_its_own_numpy_error_state_between_rows(self):
+        # numpy keeps errstate in a context variable, so one held across a
+        # yield would hold in the reader's code too
+        with np.errstate(all="raise"):
+            mine = np.geterr()
+            for _ in run_stochastic_km(make_config(steps=300, noise=NoiseParams(2.0, 0.1))).rows:
+                assert np.geterr() == mine
+
     def test_first_entry_is_exact_squared_start(self):
-        res = run_stochastic_km(make_config(replicas=25, steps=5))
+        res = mc_columns(make_config(replicas=25, steps=5))
         assert res.mean_sq_norm[0] == 10.0
         assert res.std_err[0] == 0.0
 
@@ -305,27 +312,27 @@ class TestRunStochastic:
             for x1 in (Vec2(1.0, 3.0), Vec2(1e100, -3e99)):
                 cfg = make_config(theta=Angle(1, 7), x1=x1, noise=NoiseParams(0.0, 0.0),
                                   replicas=100, steps=50, norm_kind=kind)
-                res = run_stochastic_km(cfg)
+                res = mc_columns(cfg)
                 assert all(se == 0.0 for se in res.std_err)
 
     def test_fold_and_block_sizes_do_not_change_result(self, monkeypatch):
         cfg = make_config(replicas=100, norm_kind=NormKind.LINF)
-        baseline = run_stochastic_km(cfg)
+        baseline = mc_columns(cfg)
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
         monkeypatch.setattr(stochastic, "_BLOCK", 5)
-        folded = run_stochastic_km(cfg)
+        folded = mc_columns(cfg)
         assert folded.mean_sq_norm == baseline.mean_sq_norm
         assert folded.std_err == baseline.std_err
 
     def test_non_finite_replicas_raise(self):
         cfg = make_config(x1=Vec2(1e200, 1e200), norm_kind=NormKind.LINF, replicas=10, steps=2)
         with pytest.raises(NonFiniteError, match="k = 1: 10 of 10 replicas"):
-            run_stochastic_km(cfg)
+            mc_columns(cfg)
 
     def test_mean_is_exact_where_only_the_rounded_sum_overflows(self):
         # each squared norm is about 2e306, so their sum is not a finite double
         cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e153, 1e153), replicas=100, steps=2)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         sq = np.concatenate([block for _, block in
                              stochastic._simulate_chunk(cfg, 0, cfg.replicas)])
         with pytest.raises(OverflowError):
@@ -342,7 +349,7 @@ class TestRunStochastic:
         configs = [make_config(theta=Angle(1, 6), x1=Vec2(-6.1, 2.2), noise=NoiseParams(0.0, 0.0),
                                replicas=replicas, steps=200, norm_kind=kind)
                    for replicas in (1, 3)]
-        one, *many = [run_stochastic_km(cfg).mean_sq_norm for cfg in configs]
+        one, *many = [mc_columns(cfg).mean_sq_norm for cfg in configs]
         many.append(sums_as_a_run_adds(np.repeat(np.array([one]).T, 5000, axis=1)).moments()[0])
         for means in many:
             assert means == one
@@ -361,7 +368,7 @@ class TestRunStochastic:
             mx = np.maximum(np.abs(x1), np.abs(x2))
             sq.append(mx * mx if linf else x1 * x1 + x2 * x2)
             x1, x2 = km_step(c, s, cfg.alpha, x1, x2, linf)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert (res.mean_sq_norm, res.std_err) == sums_as_a_run_adds(np.array(sq)).moments()
 
     @pytest.mark.parametrize("x1", [Vec2(1e200, 1e200), Vec2(1.5e308, 1.5e308)], ids=["1e200", "1.5e308"])
@@ -370,7 +377,7 @@ class TestRunStochastic:
         cfg = make_config(theta=Angle(1, 6), x1=x1, noise=NoiseParams(0.0, 0.0), replicas=7, steps=3,
                           norm_kind=NormKind.LINF)
         with pytest.raises(NonFiniteError, match=r"^squared norm not finite at k = 1: 7 of 7 replicas$"):
-            run_stochastic_km(cfg)
+            mc_columns(cfg)
 
     @pytest.mark.parametrize("kind", NormKind)
     def test_noiseless_run_draws_nothing(self, kind, monkeypatch):
@@ -383,7 +390,7 @@ class TestRunStochastic:
         monkeypatch.setattr(stochastic, "_simulate_chunk", fail)
         monkeypatch.setattr(stochastic, "ExactSums", fail)
         monkeypatch.setattr(os, "fork", fail)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert res.std_err == (0.0,) * cfg.steps
 
     @pytest.mark.filterwarnings("error")
@@ -391,7 +398,7 @@ class TestRunStochastic:
         # b = 0: b * ||x||_2^2 would be 0 * inf = nan at this start
         cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e154, 1e154), noise=NoiseParams(2.0, 0.0),
                           replicas=10, steps=3, norm_kind=NormKind.LINF)
-        res = run_stochastic_km(cfg)
+        res = mc_columns(cfg)
         assert res.mean_sq_norm[0] == 1e154 * 1e154
         assert all(map(math.isfinite, res.mean_sq_norm + res.std_err))
 
@@ -403,7 +410,7 @@ class TestRunStochastic:
         cfg = make_config(replicas=replicas, steps=steps, noise=NoiseParams(2.0, 0.1))
         tracemalloc.start()
         try:
-            run_stochastic_km(cfg)
+            mc_columns(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -416,7 +423,7 @@ class TestRunStochastic:
         cfg = make_config(replicas=2048, steps=1500, noise=NoiseParams(2.0, 0.0))
         tracemalloc.start()
         try:
-            run_stochastic_km(cfg)
+            mc_columns(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -426,7 +433,7 @@ class TestRunStochastic:
         # the squared norm halves each step and reaches 0 near step 1080; one
         # exponent window shared by all steps would span ~1100 bins per step
         cfg = make_config(theta=Angle(1, 2), noise=NoiseParams(0.0, 0.0), replicas=1, steps=2000)
-        sq = np.repeat(np.array([run_stochastic_km(cfg).mean_sq_norm]).T, 10, axis=1)
+        sq = np.repeat(np.array([mc_columns(cfg).mean_sq_norm]).T, 10, axis=1)
         tracemalloc.start()
         try:
             sums_as_a_run_adds(sq).moments()
@@ -434,12 +441,6 @@ class TestRunStochastic:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-
-
-def assert_no_child_left():
-    """No child process of this one is running or waiting to be reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def force_workers(monkeypatch, workers):
@@ -475,7 +476,7 @@ class TestWorkers:
         results = []
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
-            results.append(run_stochastic_km(cfg))
+            results.append(mc_columns(cfg))
             assert_no_child_left()
         assert results[0].unstable == (name == "unstable")
         assert (results[0].bound is None) == (name in ("linf", "unstable"))
@@ -491,9 +492,23 @@ class TestWorkers:
             monkeypatch.setattr(stochastic, "_CHUNK", chunk)
             for workers in (1, 2, 3):
                 force_workers(monkeypatch, workers)
-                results.append(run_stochastic_km(cfg))
+                results.append(mc_columns(cfg))
                 assert_no_child_left()
         assert len({repr(res) for res in results}) == 1
+
+    @pytest.mark.parametrize("steps", [1, 2, 64, 128])
+    def test_step_block_length_does_not_change_a_bit(self, monkeypatch, steps):
+        # step blocks of 1, 2, 64 and 128 steps over 130 steps; 30 replicas
+        # in chunks of 7, over 1 and 3 processes, which send their totals
+        # once per block
+        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        cfg = make_config(replicas=30, steps=130, noise=NoiseParams(2.0, 0.1))
+        baseline = repr(mc_columns(cfg))
+        monkeypatch.setattr(stochastic, "_BLOCK", 7 * steps)
+        for workers in (1, 3):
+            force_workers(monkeypatch, workers)
+            assert repr(mc_columns(cfg)) == baseline
+            assert_no_child_left()
 
     def test_non_finite_counts_add_up_over_the_workers(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
@@ -501,7 +516,7 @@ class TestWorkers:
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
             with pytest.raises(NonFiniteError, match=r"^squared norm not finite at k = 1: 30 of 30 replicas$"):
-                run_stochastic_km(cfg)
+                mc_columns(cfg)
             assert_no_child_left()
 
     def test_failed_parent_share_kills_and_reaps_the_children(self, monkeypatch):
@@ -519,7 +534,7 @@ class TestWorkers:
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         t0 = time.monotonic()
         with pytest.raises(ValueError, match="the parent's share failed"):
-            run_stochastic_km(make_config(replicas=30))
+            mc_columns(make_config(replicas=30))
         assert time.monotonic() - t0 < 30
         assert_no_child_left()
 
@@ -535,7 +550,7 @@ class TestWorkers:
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
-            run_stochastic_km(make_config(replicas=30))
+            mc_columns(make_config(replicas=30))
         assert_no_child_left()
 
     def test_failed_child_ends_the_run_without_waiting_for_a_slower_one(self, monkeypatch):
@@ -555,7 +570,7 @@ class TestWorkers:
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
-            run_stochastic_km(make_config(replicas=30))
+            mc_columns(make_config(replicas=30))
         assert time.monotonic() - t0 < 30
         assert_no_child_left()
 
@@ -572,7 +587,7 @@ class TestWorkers:
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
-            run_stochastic_km(make_config(replicas=30))
+            mc_columns(make_config(replicas=30))
         assert_no_child_left()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -590,60 +605,34 @@ class TestWorkers:
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         before = len(os.listdir("/proc/self/fd"))
         with pytest.raises(error) if error else contextlib.nullcontext():
-            run_stochastic_km(make_config(replicas=30))
+            mc_columns(make_config(replicas=30))
         assert len(os.listdir("/proc/self/fd")) == before
         assert_no_child_left()
 
-    def test_parent_memory_does_not_grow_with_the_worker_count(self, monkeypatch):
-        # each child's totals take about 1.8 MB at 4096 steps; this process
-        # holds one child's at a time
+    def test_parent_memory_is_flat_in_steps_and_workers(self, monkeypatch):
+        # this process holds one step block's totals, its own and one
+        # worker's at a time; the rows are read and dropped.  Blocks of 128
+        # steps make 512 and 4096 steps 4 and 32 blocks, as 4096 and 32768
+        # are at 1024 steps a block, in an eighth of the time; the totals of
+        # every step would grow by about 1.6 MB
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_BLOCK", 7 * 128)
         untrace_children(monkeypatch)
-        cfg = make_config(replicas=35, steps=4096)
-        force_workers(monkeypatch, 2)
-        run_stochastic_km(make_config(replicas=35, steps=2))  # loads what a first run loads
-        peaks = []
-        for workers in (2, 5):
+
+        def peak(workers, steps):
             force_workers(monkeypatch, workers)
             tracemalloc.start()
             try:
-                run_stochastic_km(cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                deque(run_stochastic_km(make_config(replicas=14, steps=steps)).rows, maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert_no_child_left()
-        assert peaks[1] <= peaks[0] + 2**19
+                assert_no_child_left()
 
-    def test_merge_adds_in_place_after_the_bytes_are_let_go(self, monkeypatch):
-        # the worker's pickled totals take about 1.8 MB at 4096 steps
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
-        force_workers(monkeypatch, 2)
-        untrace_children(monkeypatch)
-        loads, merge, seen = pickle.loads, stochastic.ExactSums.merge, {}
-
-        def traced_loads(data):
-            seen["bytes"] = len(data)
-            totals = loads(data)
-            seen["after_loads"] = tracemalloc.get_traced_memory()[0]
-            return totals
-
-        def traced_merge(sums, other):
-            seen["at_merge"] = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            merge(sums, other)
-            seen["merge_peak"] = tracemalloc.get_traced_memory()[1] - seen["at_merge"]
-
-        monkeypatch.setattr(pickle, "loads", traced_loads)
-        monkeypatch.setattr(stochastic.ExactSums, "merge", traced_merge)
-        tracemalloc.start()
-        try:
-            run_stochastic_km(make_config(replicas=14, steps=4096))
-        finally:
-            tracemalloc.stop()
-        assert_no_child_left()
-        assert seen["bytes"] > 2**20
-        assert seen["after_loads"] - seen["at_merge"] >= seen["bytes"] - 2**12
-        assert seen["merge_peak"] < 2**16
+        peak(2, 2)  # loads what a first run loads
+        two = peak(2, 512)
+        assert peak(2, 4096) <= two + 2**16
+        assert peak(5, 512) <= two + 2**16
 
     def test_child_error_prints_its_traceback(self, monkeypatch, capfd):
         monkeypatch.setattr(stochastic, "_CHUNK", 7)
@@ -657,7 +646,7 @@ class TestWorkers:
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
-            run_stochastic_km(make_config(replicas=30))
+            mc_columns(make_config(replicas=30))
         assert_no_child_left()
         err = capfd.readouterr().err
         assert "Traceback" in err and "ValueError: a child's share failed" in err
@@ -675,7 +664,7 @@ class TestWorkers:
             return real(cfg, start, stop)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
-        run_stochastic_km(make_config(replicas=30))
+        mc_columns(make_config(replicas=30))
         assert_no_child_left()
         assert chunks == [(0, 7), (7, 10)]
 
@@ -691,7 +680,7 @@ class TestWorkers:
 
     def test_default_run_leaves_no_process(self):
         # 4097 replicas are three chunks: forked wherever there are two CPUs
-        run_stochastic_km(make_config(replicas=4097, steps=3))
+        mc_columns(make_config(replicas=4097, steps=3))
         assert_no_child_left()
 
 
@@ -705,7 +694,7 @@ def exact_sums(samples, splits=()):
 
 
 def sums_as_a_run_adds(sq):
-    """ExactSums of a (steps, replicas) array, added in a run's slabs: _CHUNK replicas by _BLOCK samples."""
+    """ExactSums of a (steps, replicas) array, added in pieces of _CHUNK replicas by up to _BLOCK samples."""
     steps, replicas = sq.shape
     sums = stochastic.ExactSums(steps, replicas)
     for start in range(0, replicas, stochastic._CHUNK):
