@@ -28,13 +28,11 @@ from .errors import (
     OutOfRangeError,
     UnstableError,
     UnsupportedAlphaError,
-    ZeroVectorError,
 )
 from .rotation import (
     Angle,
     NormKind,
     Vec2,
-    gamma,
     norm,
     sin_cos_pi,
     tan_pi,
@@ -66,9 +64,7 @@ __all__ = [
     "UnstableError",
     "UnsupportedAlphaError",
     "Vec2",
-    "ZeroVectorError",
     "beta_l",
-    "gamma",
     "l2_bound",
     "linf_bound",
     "mu",

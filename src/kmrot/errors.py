@@ -7,10 +7,6 @@ class KmrotError(Exception):
     """Base class for domain errors raised by this package."""
 
 
-class ZeroVectorError(KmrotError):
-    """The operation is undefined at the zero vector."""
-
-
 class NonFiniteError(KmrotError, ValueError):
     """A coordinate or an initial distance is infinite or nan."""
 

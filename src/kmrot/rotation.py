@@ -10,12 +10,12 @@ arithmetic is double precision.
 
 T is written once, as turn, for plain floats and float64 arrays alike, on
 c = cos(theta) and s = sin(theta).  averaged_step builds the averaged step
-on it for one point and km_step for arrays of points; gamma is the rescale
-factor of T.  km_step imports numpy itself, since it is the only function
-here that builds arrays: simulate and bound step plain floats, so they
-start without loading numpy.  RotationOp and apply_averaged at the end are
-not a second operator: they adapt averaged_step to the call shape of the
-benchmark's kernel probe, their only caller.
+on it for one point and km_step for arrays of points.  km_step imports
+numpy itself, since it is the only function here that builds arrays:
+simulate and bound step plain floats, so they start without loading
+numpy.  RotationOp and apply_averaged at the end are not a second
+operator: they adapt averaged_step to the call shape of the benchmark's
+kernel probe, their only caller.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import NonFiniteError, ZeroVectorError
+from .errors import NonFiniteError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,10 +130,10 @@ def turn(c: float, s: float, x1: float | np.ndarray, x2: float | np.ndarray, lin
     """T(x): the rotation [[c, -s], [s, c]] of (x1, x2), rescaled when `linf` is set.
 
     Written once for floats and, with maximum=np.maximum, for float64
-    arrays, element-wise.  The rescaled image is g * Rx, where g =
-    ||x||_inf / ||Rx||_inf is gamma, in [sqrt(2)/2, sqrt(2)]: it stays at
-    the scale of x, and T(2^e x) = 2^e T(x) bit for bit wherever every value
-    is normal.  Undefined at the origin (0/0); its extremal component can
+    arrays, element-wise.  The rescaled image is g * Rx, where the factor
+    g = ||x||_inf / ||Rx||_inf lies in [sqrt(2)/2, sqrt(2)]: it stays at the
+    scale of x, and T(2^e x) = 2^e T(x) bit for bit wherever every value is
+    normal.  Undefined at the origin (0/0); its extremal component can
     land 1 ulp above ||x||_inf.  The rotation is orthogonal and its
     symmetric part is c * I, which is what makes the averaged step's
     squared-norm recursion exact under the Euclidean norm.
@@ -159,27 +159,6 @@ def norm(x: Vec2, kind: NormKind) -> float:
     if kind is NormKind.L2:
         return math.hypot(x.x1, x.x2)
     return max(abs(x.x1), abs(x.x2))
-
-
-def gamma(c: float, s: float, x1: float, x2: float) -> float:
-    """The rescale factor ||x||_inf / ||Rx||_inf of turn; lies in [sqrt(2)/2, sqrt(2)].
-
-    Takes the rotation and point as turn does.  x is first scaled by the
-    power of two that brings ||x||_inf into [0.5, 1).  The ratio is
-    scale-invariant and the scaling is exact, so the result has the same
-    bits as the unscaled formula unless a rotated product rounds to a
-    subnormal.  Near the subnormal range the scaled formula keeps the
-    rotated components that the unscaled one loses.
-
-    Undefined at the origin: callers must treat the zero vector as the fixed
-    point and never ask for its rescaling.
-    """
-    if x1 == 0.0 and x2 == 0.0:
-        raise ZeroVectorError("gamma is undefined at the zero vector")
-    e = -math.frexp(max(abs(x1), abs(x2)))[1]
-    x1, x2 = math.ldexp(x1, e), math.ldexp(x2, e)
-    t1, t2 = turn(c, s, x1, x2, False)
-    return max(abs(x1), abs(x2)) / max(abs(t1), abs(t2))
 
 
 def km_step(

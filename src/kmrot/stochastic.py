@@ -13,22 +13,23 @@ block cut at R, and is fed by default_rng([seed, b]) (replica_rng): at each
 step it draws one standard_normal((n_b, 2)), n_b = min(2048, R - 2048 b),
 and replica r's noise pair is row r - 2048 b of that draw.  So a path
 depends only on (seed, r), plus R for the replicas of a last, partial
-block; never on the chunk size, the step block or the worker count.
+block; never on the step block or the worker count.
 
-A chunk of at most _CHUNK replicas, never straddling a noise block, steps
-in place with its rows of each step's draw.  A run goes one step block at a
+Each noise block is also the unit of work: a chunk steps one block's
+replicas in place with each step's draw.  A run goes one step block at a
 time, as many steps as fill one ExactSums pass (_BLOCK values) of a whole
-chunk, at most 1024: each chunk's squared norms for the block are added
+block, at most 1024: each chunk's squared norms for the block are added
 into exact Python-int sums of x and x^2 per step (ExactSums).  Up to one
-process per available CPU, at most one per chunk and with no option, each
-runs a near-equal contiguous range of replicas; their integer totals are
-added exactly, so every byte of the result is independent of the order of
-chunks and of the worker count.  Memory per process is O(replicas / workers)
-plus one step block's totals: between blocks a chunk keeps its coordinates
-(16 bytes per replica) and one generator.  Each mean is the exact mean
-rounded once; each standard error is the square root of the exact sample
-variance rounded once.  A noise-free run (a = b = 0) has one path, which
-run_km steps as its rows are read.
+process per available CPU, at most one per noise block and with no option,
+each runs a contiguous range of whole blocks, near-equal in count; their
+integer totals are added exactly, so every byte of the result is
+independent of the order of chunks and of the worker count.  Memory per
+process is O(replicas / workers) plus one step block's totals: between
+blocks a chunk keeps its coordinates (16 bytes per replica) and one
+generator.  Each mean is the exact mean rounded once; each standard error
+is the square root of the exact sample variance rounded once.  A
+noise-free run (a = b = 0) has one path, which run_km steps as its rows
+are read.
 
 numpy is imported by the functions that use it, not by the module: kmrot
 and its CLI import this module's names, and simulate, bound and a
@@ -51,8 +52,7 @@ from .rotation import Angle, NormKind, Vec2, km_step, sin_cos_pi
 if TYPE_CHECKING:
     import numpy as np
 
-_CHUNK = 2048  # replicas stepped together
-_NOISE_BLOCK = 2048  # replicas whose noise one generator draws; part of the output contract
+_NOISE_BLOCK = 2048  # replicas whose noise one generator draws, stepped together; part of the output contract
 _ADD_SAMPLES = 2**16
 _BLOCK = 2**14  # samples, and bins, per frexp/bincount pass; bounds the temporaries
 _SPAN = 36  # the largest piece shift, in exponent steps
@@ -155,8 +155,8 @@ class ExactSums:
         self._sxx = [0] * series
         self._bad = [0] * series
 
-    def add(self, block: np.ndarray, first: int = 0) -> None:
-        """Add samples: block[k] holds new samples of series first + k."""
+    def add(self, block: np.ndarray) -> None:
+        """Add samples: block[k] holds new samples of series k."""
         import numpy as np
 
         count = block.shape[1]
@@ -166,12 +166,12 @@ class ExactSums:
             raise ValueError(f"at most {_ADD_SAMPLES} samples per add: got {count}")
         finite = np.isfinite(block)
         if not finite.all():
-            for k, bad in enumerate((count - finite.sum(axis=1)).tolist(), first):
+            for k, bad in enumerate((count - finite.sum(axis=1)).tolist()):
                 self._bad[k] += bad
             block = np.where(finite, block, 0.0)
         rows, done = max(1, _BLOCK // count), 0
         while done < len(block):
-            rows = self._add_rows(first + done, block[done:done + rows])
+            rows = self._add_rows(done, block[done:done + rows])
             done += rows
 
     def _add_rows(self, first: int, block: np.ndarray) -> int:
@@ -252,34 +252,33 @@ def _sqrt_ratio(p: int, q: int) -> float:
     return math.ldexp(math.sqrt(r), h)
 
 
-def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Squared norms of replicas start .. stop-1, all in one noise block, a step block at a time.
+def _simulate_chunk(cfg: McConfig, block: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Squared norms of the replicas of noise block `block`, a step block at a time.
 
     Yields (first, sq), where sq[j] holds step first + j of each replica, in
-    a new array per step block; every chunk of a run has the same blocks
-    (see the module docstring), the last cut at cfg.steps.  Between blocks
-    it keeps only the coordinates and the noise block's generator
-    (replica_rng), which draws the whole block's noise before each step;
-    the chunk steps with its own rows of it, and after the last record
-    neither draws nor steps, so a 1-step run builds no generator.  km_step
-    steps the replicas in place, element-wise, so no path depends on the
-    chunk or block bounds.
+    a new array per step block; every chunk of a run has the same step
+    blocks (see the module docstring), the last cut at cfg.steps.  Between
+    step blocks it keeps only the coordinates and the noise block's
+    generator (replica_rng), which draws the block's noise before each
+    step, and after the last record neither draws nor steps, so a 1-step
+    run builds no generator.  km_step steps the replicas in place,
+    element-wise, so no path depends on the step block bounds.
     """
     import numpy as np
 
-    m = stop - start
+    start = block * _NOISE_BLOCK
+    m = min(_NOISE_BLOCK, cfg.replicas - start)
     a, b = cfg.noise.a, cfg.noise.b
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
-    lo = start - start % _NOISE_BLOCK  # the noise block's first replica
     rng = replica_rng(cfg.seed, start) if cfg.steps > 1 else None
     x1 = np.full(m, cfg.x1.x1)
     x2 = np.full(m, cfg.x1.x2)
     scale = math.sqrt(a * 0.5)  # for b = 0; b * ||x||^2 would be 0 * inf = nan where ||x||^2 overflows
 
     def step_block(first: int, n: int) -> np.ndarray:
-        z = np.empty((min(_NOISE_BLOCK, cfg.replicas - lo), 2))
-        z1, z2 = z[start - lo:stop - lo, 0], z[start - lo:stop - lo, 1]
+        z = np.empty((m, 2))
+        z1, z2 = z[:, 0], z[:, 1]
         w1, w2 = np.empty(m), np.empty(m)
         sq = np.empty((n, m))
         # errstate lives in a context variable: one held across the yield
@@ -313,18 +312,18 @@ def _simulate_chunk(cfg: McConfig, start: int, stop: int) -> Iterator[tuple[int,
                     row += np.multiply(x2, x2, out=w1)
         return sq
 
-    steps = min(1024, max(1, _BLOCK // min(_CHUNK, cfg.replicas)))
+    steps = min(1024, max(1, _BLOCK // min(_NOISE_BLOCK, cfg.replicas)))
     for first in range(0, cfg.steps, steps):
         yield first, step_block(first, min(steps, cfg.steps - first))
 
 
-def _workers(chunks: int) -> int:
-    """Processes to share `chunks` chunks of replicas: one per available CPU, at most one per chunk."""
+def _workers(blocks: int) -> int:
+    """Processes to share `blocks` noise blocks: one per available CPU, at most one per block."""
     import os
 
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), chunks)
+    return min(len(os.sched_getaffinity(0)), blocks)
 
 
 def run_stochastic_km(cfg: McConfig) -> McResult:
@@ -332,10 +331,9 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
 
     Returns after the Euclidean bound and its initial-distance check; the
     rows (mean, std_err) are computed as they are read, a step block at a
-    time.  Process w of W runs the replicas [R * w / W, R * (w + 1) / W),
-    with W up to one per available CPU and at most one per _CHUNK replicas
-    (_workers); the first row read forks the others, and a share bound
-    inside a noise block makes both processes draw that block.  Per step
+    time.  Of the n noise blocks, process w of W runs the blocks
+    [n * w // W, n * (w + 1) // W), with W up to one per available CPU and
+    at most n (_workers); the first row read forks the others.  Per step
     block this process adds each worker's exact sums to its own, in fork
     order, and yields the block's rows.  Without noise (a = b = 0) all
     replicas follow one path, which run_km steps as the rows are read, with
@@ -378,16 +376,12 @@ def _noisy_rows(cfg: McConfig) -> Iterator[tuple[float, float]]:
     import signal
     import sys
 
-    workers = _workers(-(-cfg.replicas // _CHUNK))
+    n = -(-cfg.replicas // _NOISE_BLOCK)
+    workers = _workers(n)
 
     def blocks(w: int) -> Iterator[tuple[int, ExactSums]]:
         """Each step block's first step and the exact sums of process w's squared norms in it."""
-        start, hi = (cfg.replicas * v // workers for v in (w, w + 1))
-        chunks = []
-        while start < hi:
-            stop = min(start + _CHUNK, start - start % _NOISE_BLOCK + _NOISE_BLOCK, hi)
-            chunks.append(_simulate_chunk(cfg, start, stop))
-            start = stop
+        chunks = [_simulate_chunk(cfg, b) for b in range(n * w // workers, n * (w + 1) // workers)]
         for first, sq in chunks[0]:  # the first chunk paces the blocks
             sums = ExactSums(len(sq), cfg.replicas)
             sums.add(sq)

@@ -238,9 +238,10 @@ def test_c11_determinism(tmp_path, capsys, monkeypatch):
         noise=NoiseParams(2.0, 0.0), replicas=10_000, steps=100, seed=MC_SEED,
     )
     baseline = mc_columns(cfg)
-    for chunk in (1000, 4999):
-        monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+    # 10 000 replicas are five noise blocks, shared out over up to three processes
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(stochastic, "_workers", lambda blocks: workers)
         res = mc_columns(cfg)
         assert res.mean_sq_norm == baseline.mean_sq_norm
         assert res.std_err == baseline.std_err
-    _report(11, "same seed gives byte-identical CSV; chunk sizes agree bit for bit")
+    _report(11, "same seed gives byte-identical CSV; worker counts agree bit for bit")

@@ -439,7 +439,7 @@ class TestMc:
                 "--replicas", "300", "--steps", "30", "--seed", "77"]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(argv + ["--out", str(first)], capsys)[0] == 0
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_BLOCK", 7)  # step blocks of one step
         assert run_cli(argv + ["--out", str(second)], capsys)[0] == 0
         assert first.read_bytes() == second.read_bytes()
 

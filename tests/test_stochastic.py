@@ -142,9 +142,9 @@ class TestDrawNoise:
         assert float(np.mean(np.sum(z * z, axis=1))) == pytest.approx(2.0, rel=0.01)
 
 
-def chunk_paths(cfg, start, stop):
-    """Squared norms of replicas start .. stop-1, one row per step, as _simulate_chunk gives them."""
-    return np.concatenate([sq.copy() for _, sq in stochastic._simulate_chunk(cfg, start, stop)])
+def chunk_paths(cfg, block):
+    """Squared norms of noise block `block`'s replicas, one row per step, as _simulate_chunk gives them."""
+    return np.concatenate([sq.copy() for _, sq in stochastic._simulate_chunk(cfg, block)])
 
 
 class TestNoiseBlocks:
@@ -153,8 +153,11 @@ class TestNoiseBlocks:
     # both ends of the seed range, and seeds of one and two 32-bit words
     SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
     # replica numbers around block bounds (2048, 4096), mc_long's worker
-    # bound (10 000 of 20 000), one and two 32-bit words, and the last one
-    REPLICAS = [(0, 3), (2046, 2051), (4095, 4098), (9998, 10003), (2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]
+    # bound (10 240 of 20 000, a block bound) and 10 000, where it lay while
+    # shares were cut by replica count, one and two 32-bit words, and the
+    # last one
+    REPLICAS = [(0, 3), (2046, 2051), (4095, 4098), (9998, 10003), (10238, 10242), (2**32 - 2, 2**32 + 2),
+                (2**64 - 2, 2**64)]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_replica_rng_is_its_blocks_generator(self, seed):
@@ -169,14 +172,14 @@ class TestNoiseBlocks:
 
     @pytest.mark.parametrize("kind", NormKind)
     def test_full_block_paths_do_not_depend_on_the_replica_count(self, kind):
-        def paths(replicas, start, stop):
+        def paths(replicas, block):
             cfg = make_config(replicas=replicas, steps=6, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
-            return chunk_paths(cfg, start, stop).tolist()
+            return chunk_paths(cfg, block).tolist()
 
-        # replicas 2040 .. 2047 end block 0, full at any R >= 2048
-        assert len({repr(paths(r, 2040, 2048)) for r in (2048, 2050, 4096, 4100)}) == 1
+        # block 0 is full at any R >= 2048
+        assert len({repr(paths(r, 0)) for r in (2048, 2050, 4096, 4100)}) == 1
         # block 1 is full at R = 4096 and at 4100, which adds a block of 4
-        assert paths(4096, 2048, 2056) == paths(4100, 2048, 2056)
+        assert paths(4096, 1) == paths(4100, 1)
 
     @pytest.mark.parametrize("kind", NormKind)
     def test_a_partial_blocks_paths_depend_on_its_size(self, kind):
@@ -185,7 +188,7 @@ class TestNoiseBlocks:
         # both, the second step's is numbers 4-5 at one and 6-7 at the other
         def paths(replicas):
             cfg = make_config(replicas=replicas, steps=3, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
-            return chunk_paths(cfg, 2048, 2049)[:, 0].tolist()
+            return chunk_paths(cfg, 1)[:, 0].tolist()
 
         two, three = paths(2050), paths(2051)
         assert two[:2] == three[:2]
@@ -206,24 +209,6 @@ class TestRunStochastic:
         b = mc_columns(make_config())
         assert a.mean_sq_norm == b.mean_sq_norm
         assert a.std_err == b.std_err
-
-    def test_chunk_count_does_not_change_result(self, monkeypatch):
-        # the replicas of both norms split into 400, 58, 3 and 2 chunks
-        configs = [make_config(replicas=400, norm_kind=kind) for kind in NormKind]
-        baselines = [mc_columns(cfg) for cfg in configs]
-        for chunk in (1, 7, 149, 399):
-            monkeypatch.setattr(stochastic, "_CHUNK", chunk)
-            for cfg, baseline in zip(configs, baselines):
-                chunked = mc_columns(cfg)
-                assert chunked.mean_sq_norm == baseline.mean_sq_norm
-                assert chunked.std_err == baseline.std_err
-
-    def test_chunk_size_does_not_change_result(self, monkeypatch):
-        baseline = mc_columns(make_config(replicas=100))
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
-        chunked = mc_columns(make_config(replicas=100))
-        assert chunked.mean_sq_norm == baseline.mean_sq_norm
-        assert chunked.std_err == baseline.std_err
 
     def test_step_block_does_not_change_result(self, monkeypatch):
         # a horizon one step past a whole number of slabs ends in a slab of
@@ -251,8 +236,7 @@ class TestRunStochastic:
         # replicas 2046 and 2047 take the last rows of block 0's draws, 2048
         # and 2049 the only rows of block 1's, which holds 2 replicas
         cfg = make_config(alpha=0.35, noise=NoiseParams(0.7, 0.3), replicas=2050, steps=25, seed=99)
-        paths = np.concatenate([np.concatenate([sq for _, sq in stochastic._simulate_chunk(cfg, lo, hi)])
-                                for lo, hi in ((2046, 2048), (2048, 2050))], axis=1)
+        paths = np.concatenate([chunk_paths(cfg, 0)[:, 2046:], chunk_paths(cfg, 1)], axis=1)
         assert paths.T.tolist() == scalar_paths(cfg, range(2046, 2050))
 
     @pytest.mark.parametrize("kind", NormKind)
@@ -318,7 +302,6 @@ class TestRunStochastic:
     def test_fold_and_block_sizes_do_not_change_result(self, monkeypatch):
         cfg = make_config(replicas=100, norm_kind=NormKind.LINF)
         baseline = mc_columns(cfg)
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
         monkeypatch.setattr(stochastic, "_BLOCK", 5)
         folded = mc_columns(cfg)
         assert folded.mean_sq_norm == baseline.mean_sq_norm
@@ -333,8 +316,7 @@ class TestRunStochastic:
         # each squared norm is about 2e306, so their sum is not a finite double
         cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e153, 1e153), replicas=100, steps=2)
         res = mc_columns(cfg)
-        sq = np.concatenate([block for _, block in
-                             stochastic._simulate_chunk(cfg, 0, cfg.replicas)])
+        sq = chunk_paths(cfg, 0)
         with pytest.raises(OverflowError):
             math.fsum(sq[0].tolist())
         for k in range(cfg.steps):
@@ -384,7 +366,7 @@ class TestRunStochastic:
         def fail(*args):
             raise AssertionError("a noiseless run drew, stepped arrays, summed or forked")
 
-        # 5000 replicas are three chunks: forked wherever there are two CPUs
+        # 5000 replicas are three noise blocks: forked wherever there are two CPUs
         cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=5000, norm_kind=kind)
         monkeypatch.setattr(stochastic, "replica_rng", fail)
         monkeypatch.setattr(stochastic, "_simulate_chunk", fail)
@@ -451,17 +433,17 @@ def untrace_children(monkeypatch):
     """Stop tracemalloc in forked workers, which inherit it: only this process's peak is measured."""
     parent, real = os.getpid(), stochastic._simulate_chunk
 
-    def chunk(cfg, start, stop):
+    def chunk(cfg, block):
         if os.getpid() != parent:
             tracemalloc.stop()
-        return real(cfg, start, stop)
+        return real(cfg, block)
 
     monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
 
 
 class TestWorkers:
-    # 30 replicas in chunks of 7: five chunks, shared out over up to three
-    # processes
+    # 30 replicas in noise blocks of 7: five blocks, shared out over up to
+    # three processes
     CONFIGS = {
         "l2": dict(noise=NoiseParams(2.0, 0.1)),
         "linf": dict(norm_kind=NormKind.LINF),
@@ -471,7 +453,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_worker_count_does_not_change_a_bit(self, monkeypatch, name):
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         cfg = make_config(replicas=30, **self.CONFIGS[name])
         results = []
         for workers in (1, 2, 3):
@@ -483,25 +465,12 @@ class TestWorkers:
         # repr tells -0.0 from 0.0 and prints each float exactly
         assert len({repr(res) for res in results}) == 1
 
-    def test_worker_and_chunk_bounds_inside_noise_blocks_do_not_change_a_bit(self, monkeypatch):
-        # 4100 replicas are three noise blocks, the last of 4; shares and
-        # chunks of 1000 cut blocks 0 and 1 inside
-        cfg = make_config(replicas=4100, steps=3, noise=NoiseParams(2.0, 0.1))
-        results = []
-        for chunk in (2048, 1000):
-            monkeypatch.setattr(stochastic, "_CHUNK", chunk)
-            for workers in (1, 2, 3):
-                force_workers(monkeypatch, workers)
-                results.append(mc_columns(cfg))
-                assert_no_child_left()
-        assert len({repr(res) for res in results}) == 1
-
     @pytest.mark.parametrize("steps", [1, 2, 64, 128])
     def test_step_block_length_does_not_change_a_bit(self, monkeypatch, steps):
         # step blocks of 1, 2, 64 and 128 steps over 130 steps; 30 replicas
-        # in chunks of 7, over 1 and 3 processes, which send their totals
+        # in noise blocks of 7, over 1 and 3 processes, which send their totals
         # once per block
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         cfg = make_config(replicas=30, steps=130, noise=NoiseParams(2.0, 0.1))
         baseline = repr(mc_columns(cfg))
         monkeypatch.setattr(stochastic, "_BLOCK", 7 * steps)
@@ -511,7 +480,7 @@ class TestWorkers:
             assert_no_child_left()
 
     def test_non_finite_counts_add_up_over_the_workers(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         cfg = make_config(x1=Vec2(1e200, 1e200), norm_kind=NormKind.LINF, replicas=30, steps=2)
         for workers in (1, 2, 3):
             force_workers(monkeypatch, workers)
@@ -521,11 +490,11 @@ class TestWorkers:
 
     def test_failed_parent_share_kills_and_reaps_the_children(self, monkeypatch):
         # each child would sleep for a minute; the run ends well before
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
         parent = os.getpid()
 
-        def chunk(cfg, start, stop):
+        def chunk(cfg, block):
             if os.getpid() == parent:
                 raise ValueError("the parent's share failed")
             time.sleep(60)
@@ -539,14 +508,14 @@ class TestWorkers:
         assert_no_child_left()
 
     def test_child_that_sends_nothing_fails_the_run(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
         parent, real = os.getpid(), stochastic._simulate_chunk
 
-        def chunk(cfg, start, stop):
+        def chunk(cfg, block):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(cfg, start, stop)
+            return real(cfg, block)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
@@ -554,18 +523,18 @@ class TestWorkers:
         assert_no_child_left()
 
     def test_failed_child_ends_the_run_without_waiting_for_a_slower_one(self, monkeypatch):
-        # replicas [10, 20) run in the first child, which fails at once;
-        # the second child would sleep for a minute per chunk
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        # blocks 1 and 2 run in the first child, which fails at once; the
+        # second child would sleep for a minute per block
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
         parent, real = os.getpid(), stochastic._simulate_chunk
 
-        def chunk(cfg, start, stop):
+        def chunk(cfg, block):
             if os.getpid() != parent:
-                if start < 20:
+                if block < 3:
                     os._exit(1)
                 time.sleep(60)
-            return real(cfg, start, stop)
+            return real(cfg, block)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         t0 = time.monotonic()
@@ -576,14 +545,14 @@ class TestWorkers:
 
     def test_child_killed_by_a_signal_fails_the_run(self, monkeypatch):
         # its wait status is a signal, not an exit code
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
         parent, real = os.getpid(), stochastic._simulate_chunk
 
-        def chunk(cfg, start, stop):
+        def chunk(cfg, block):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(cfg, start, stop)
+            return real(cfg, block)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
@@ -593,14 +562,14 @@ class TestWorkers:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("fails, error", [(None, None), ("child", RuntimeError), ("parent", ValueError)])
     def test_run_leaves_no_descriptor_open(self, monkeypatch, fails, error):
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
         parent, real = os.getpid(), stochastic._simulate_chunk
 
-        def chunk(cfg, start, stop):
+        def chunk(cfg, block):
             if fails == ("parent" if os.getpid() == parent else "child"):
                 raise ValueError("this share failed")
-            return real(cfg, start, stop)
+            return real(cfg, block)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         before = len(os.listdir("/proc/self/fd"))
@@ -614,8 +583,9 @@ class TestWorkers:
         # worker's at a time; the rows are read and dropped.  Blocks of 128
         # steps make 512 and 4096 steps 4 and 32 blocks, as 4096 and 32768
         # are at 1024 steps a block, in an eighth of the time; the totals of
-        # every step would grow by about 1.6 MB
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        # every step would grow by about 1.6 MB.  35 replicas are five
+        # noise blocks of 7, enough for each of five workers
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         monkeypatch.setattr(stochastic, "_BLOCK", 7 * 128)
         untrace_children(monkeypatch)
 
@@ -623,7 +593,7 @@ class TestWorkers:
             force_workers(monkeypatch, workers)
             tracemalloc.start()
             try:
-                deque(run_stochastic_km(make_config(replicas=14, steps=steps)).rows, maxlen=0)
+                deque(run_stochastic_km(make_config(replicas=35, steps=steps)).rows, maxlen=0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -635,14 +605,14 @@ class TestWorkers:
         assert peak(5, 512) <= two + 2**16
 
     def test_child_error_prints_its_traceback(self, monkeypatch, capfd):
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 2)
         parent, real = os.getpid(), stochastic._simulate_chunk
 
-        def chunk(cfg, start, stop):
+        def chunk(cfg, block):
             if os.getpid() != parent:
                 raise ValueError("a child's share failed")
-            return real(cfg, start, stop)
+            return real(cfg, block)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
@@ -651,22 +621,27 @@ class TestWorkers:
         err = capfd.readouterr().err
         assert "Traceback" in err and "ValueError: a child's share failed" in err
 
-    def test_each_process_runs_one_contiguous_range_of_replicas(self, monkeypatch):
-        # 30 replicas over three processes: this one runs [0, 10) in chunks
-        # of at most 7
-        monkeypatch.setattr(stochastic, "_CHUNK", 7)
+    def test_each_process_runs_one_contiguous_range_of_replicas(self, monkeypatch, tmp_path):
+        # 30 replicas are five noise blocks of 7, the last of 2; over three
+        # processes, each logs the blocks it steps
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
-        parent, real, chunks = os.getpid(), stochastic._simulate_chunk, []
+        real, log = stochastic._simulate_chunk, tmp_path / "blocks"
 
-        def chunk(cfg, start, stop):
-            if os.getpid() == parent:
-                chunks.append((start, stop))
-            return real(cfg, start, stop)
+        def chunk(cfg, block):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {block}\n")
+            return real(cfg, block)
 
         monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
         mc_columns(make_config(replicas=30))
         assert_no_child_left()
-        assert chunks == [(0, 7), (7, 10)]
+        shares = {}
+        for line in log.read_text().splitlines():
+            pid, block = line.split()
+            shares.setdefault(pid, []).append(int(block))
+        assert shares.pop(str(os.getpid())) == [0]
+        assert sorted(shares.values()) == [[1, 2], [3, 4]]
 
     def test_worker_count_rule(self, monkeypatch):
         # the helper alone: no process starts
@@ -679,7 +654,7 @@ class TestWorkers:
         assert stochastic._workers(10) == 1
 
     def test_default_run_leaves_no_process(self):
-        # 4097 replicas are three chunks: forked wherever there are two CPUs
+        # 4097 replicas are three noise blocks: forked wherever there are two CPUs
         mc_columns(make_config(replicas=4097, steps=3))
         assert_no_child_left()
 
@@ -694,14 +669,11 @@ def exact_sums(samples, splits=()):
 
 
 def sums_as_a_run_adds(sq):
-    """ExactSums of a (steps, replicas) array, added in pieces of _CHUNK replicas by up to _BLOCK samples."""
+    """ExactSums of a (steps, replicas) array, added one noise block of replicas at a time."""
     steps, replicas = sq.shape
     sums = stochastic.ExactSums(steps, replicas)
-    for start in range(0, replicas, stochastic._CHUNK):
-        chunk = sq[:, start:start + stochastic._CHUNK]
-        rows = max(1, stochastic._BLOCK // chunk.shape[1])
-        for first in range(0, steps, rows):
-            sums.add(chunk[first:first + rows], first)
+    for start in range(0, replicas, stochastic._NOISE_BLOCK):
+        sums.add(sq[:, start:start + stochastic._NOISE_BLOCK])
     return sums
 
 
@@ -773,23 +745,6 @@ class TestExactSums:
         assert scaled_serr[0] == math.ldexp(serr[0], e)
 
     @given(
-        # nan and inf too: the error must name the same series either way
-        hnp.arrays(np.float64, st.tuples(st.integers(2, 8), st.integers(1, 50)), elements=st.floats()),
-        st.lists(st.integers(1, 7), min_size=1, max_size=4),
-        st.randoms(use_true_random=False),
-    )
-    def test_row_slices_at_their_offsets_match_one_add(self, x, cuts, rnd):
-        bounds = sorted({0, x.shape[0], *(min(c, x.shape[0] - 1) for c in cuts)})
-        slices = list(zip(bounds, bounds[1:]))
-        rnd.shuffle(slices)
-        sliced = stochastic.ExactSums(*x.shape)
-        for lo, hi in slices:
-            sliced.add(x[lo:hi], lo)
-        whole = stochastic.ExactSums(*x.shape)
-        whole.add(x)
-        assert outcome(sliced) == outcome(whole)
-
-    @given(
         hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(2, 200)), elements=st.floats()),
         st.data(),
     )
@@ -807,12 +762,12 @@ class TestExactSums:
         x = np.ones((6, 4))
         x[4, 2] = np.inf
         x[5, 1:] = np.nan
-        sums = stochastic.ExactSums(6, 4)
-        sums.add(x[:3])
-        sums.add(x[3:], 3)
+        # the last three series, as the step block from step 3 adds them
+        sums = stochastic.ExactSums(3, 4)
+        sums.add(x[3:])
         with pytest.raises(NonFiniteError, match="k = 5: 1 of 4 replicas"):
-            sums.moments()
-        assert sums._bad == [0, 0, 0, 0, 1, 3]
+            sums.moments(3)
+        assert sums._bad == [0, 1, 3]
 
     def test_a_block_of_zeros_after_samples_adds_nothing(self):
         # series 0 gets only a zero in the second block while series 1 does not
