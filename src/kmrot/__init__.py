@@ -20,7 +20,7 @@ from .bounds import (
     noise_bound,
     optimal_alpha_l2,
 )
-from .engine import Schedule, ScheduleKind, run_km, step_size
+from .engine import run_km
 from .errors import (
     InvalidAlphaError,
     KmrotError,
@@ -59,8 +59,6 @@ __all__ = [
     "NonFiniteError",
     "NormKind",
     "OutOfRangeError",
-    "Schedule",
-    "ScheduleKind",
     "UnstableError",
     "UnsupportedAlphaError",
     "Vec2",
@@ -77,6 +75,5 @@ __all__ = [
     "run_stochastic_km",
     "search_beta_u",
     "sin_cos_pi",
-    "step_size",
     "tan_pi",
 ]

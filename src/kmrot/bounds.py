@@ -124,11 +124,11 @@ def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_m
     squared Euclidean norm, not the norm itself.  Raises NonFiniteError
     when a value overflows or turns nan: at the call for k = 1, else when read.
     """
+    m = mu(alpha, theta)
     check_count("k_max", k_max)
     check_finite_nonneg("initial squared distance", d_sq)
     check_finite_nonneg("noise parameter a", a)
     check_finite_nonneg("noise parameter b", b)
-    m = mu(alpha, theta)
     rho = m + alpha * alpha * b
     if rho >= 1.0:
         # alpha^2 underflows to 0 below about 1e-162, where mu rounds to 1

@@ -23,7 +23,7 @@ from itertools import count, islice
 
 from .beta_search import MAX_GRID_STEP, MIN_GRID_STEP, search_beta_u
 from .bounds import l2_bound, linf_bound
-from .engine import Schedule, ScheduleKind, run_km
+from .engine import DECAYING, run_km
 from .errors import KmrotError
 from .rotation import Angle, NormKind, Vec2, norm
 from .stochastic import MAX_MC_REPLICAS, McConfig, NoiseParams, run_stochastic_km
@@ -109,14 +109,15 @@ def _bound_values(args: argparse.Namespace, d: float, steps: int) -> Sequence[fl
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
-    kind = ScheduleKind(args.schedule)
-    if kind is ScheduleKind.CONSTANT and args.alpha is None:
+    rule = DECAYING.get(args.schedule)
+    if rule is None and args.alpha is None:
         args.alpha = 0.5
-    schedule = Schedule(kind, args.alpha)
+    elif rule is not None and args.alpha is not None:
+        args.usage_error(f"--alpha applies only to --schedule const, not {args.schedule}")
     norm_kind = NormKind(args.norm)
-    iterates = run_km(args.theta, norm_kind, schedule, args.x1, args.steps)
+    iterates = run_km(args.theta, norm_kind, rule or args.alpha, args.x1, args.steps)
     header = "k,x1,x2,norm_value,bound_value\n"
-    if kind is not ScheduleKind.CONSTANT:
+    if rule is not None:
         return header, ("%d,%.17g,%.17g,%.17g,\n" % (k, x1, x2, n) for k, (x1, x2, n) in zip(count(1), iterates))
     bound = _bound_values(args, norm(args.x1, norm_kind), args.steps)
     return header, ("%d,%.17g,%.17g,%.17g,%.17g\n" % (k, x1, x2, n, b)
@@ -178,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run an iteration and emit iterates, norms, and bound values")
     add_common(sim)
-    sim.add_argument("--schedule", choices=sorted(kind.value for kind in ScheduleKind),
-                     default=ScheduleKind.CONSTANT.value)
-    # alpha None: --alpha not given, so a decaying schedule can refuse it
-    sim.set_defaults(handler=_cmd_simulate, alpha=None)
+    sim.add_argument("--schedule", choices=sorted(["const", *DECAYING]), default="const")
+    # alpha None: --alpha not given, so a decaying schedule can refuse it with simulate's usage error
+    sim.set_defaults(handler=_cmd_simulate, alpha=None, usage_error=sim.error)
 
     bnd = sub.add_parser("bound", help="emit a bound curve without running the iteration")
     add_common(bnd)
@@ -238,10 +238,7 @@ def _write_csv(header: str, rows: Iterable[str], out: str | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "simulate" and args.schedule != ScheduleKind.CONSTANT.value and args.alpha is not None:
-        parser.error(f"--alpha applies only to --schedule const, not {args.schedule}")
+    args = build_parser().parse_args(argv)
     try:
         header, rows = args.handler(args)
         return _write_csv(header, rows, args.out)

@@ -45,7 +45,7 @@ from itertools import count
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 from .bounds import BoundCurve, noise_bound
-from .engine import Schedule, ScheduleKind, run_km
+from .engine import run_km
 from .errors import NonFiniteError, OutOfRangeError, UnstableError, check_alpha, check_count, check_finite_nonneg
 from .rotation import Angle, NormKind, Vec2, km_step, sin_cos_pi
 
@@ -361,7 +361,7 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
             raise NonFiniteError(f"squared norm not finite at k = {k}: {cfg.replicas} of {cfg.replicas} replicas")
         return sq, 0.0
 
-    path = run_km(cfg.theta, cfg.norm_kind, Schedule(ScheduleKind.CONSTANT, cfg.alpha), cfg.x1, cfg.steps)
+    path = run_km(cfg.theta, cfg.norm_kind, cfg.alpha, cfg.x1, cfg.steps)
     return McResult(map(row, count(1), path), bound, unstable)
 
 

@@ -16,8 +16,6 @@ from kmrot import (
     McConfig,
     NoiseParams,
     NormKind,
-    Schedule,
-    ScheduleKind,
     UnstableError,
     Vec2,
     linf_bound,
@@ -28,6 +26,7 @@ from kmrot import (
     search_beta_u,
     sin_cos_pi,
 )
+from kmrot.engine import DECAYING
 from kmrot.rotation import averaged_step, turn
 
 from _support import (
@@ -76,7 +75,7 @@ def test_c02_l2_exactness():
     x1 = Vec2(10.0, 30.0)
     for theta in thetas:
         for alpha in alphas:
-            traj = trajectory(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), x1, 200)
+            traj = trajectory(theta, NormKind.L2, alpha, x1, 200)
             g = mu(alpha, theta)
             d = traj.norms[0]
             for i, value in enumerate(traj.norms):
@@ -109,7 +108,7 @@ def test_c04_linf_bound_dominance():
         for _ in range(100):
             phi = rng.uniform(0.0, 2.0 * math.pi)
             x1 = Vec2(math.cos(phi), math.sin(phi))
-            traj = trajectory(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 200)
+            traj = trajectory(theta, NormKind.LINF, 0.5, x1, 200)
             curve = linf_bound(theta, 0.5, traj.norms[0], 200, beta_u=beta_u)
             for got, cap in zip(traj.norms, curve.values):
                 assert cap >= got - 1e-9, f"theta={theta}: {got} above bound {cap}"
@@ -217,11 +216,10 @@ def test_c09_monte_carlo_proportional_noise():
 
 def test_c10_schedule_ordering():
     finals = {}
-    for schedule in (Schedule(ScheduleKind.INV_LOG), Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_K)):
-        traj = trajectory(Angle(1, 4), NormKind.L2, schedule, Vec2(10.0, 30.0), 10_000)
-        finals[schedule.kind] = traj.norms[-1]
-    assert finals[ScheduleKind.INV_LOG] < finals[ScheduleKind.INV_SQRT] < finals[ScheduleKind.INV_K]
-    assert finals[ScheduleKind.INV_K] > 10.0 * finals[ScheduleKind.INV_SQRT]
+    for name, rule in DECAYING.items():
+        finals[name] = trajectory(Angle(1, 4), NormKind.L2, rule, Vec2(10.0, 30.0), 10_000).norms[-1]
+    assert finals["invlog"] < finals["invsqrt"] < finals["invk"]
+    assert finals["invk"] > 10.0 * finals["invsqrt"]
     _report(10, "after 1e4 steps: 1/log fastest, then 1/sqrt(k), then 1/k (over 10x slower)")
 
 

@@ -12,8 +12,6 @@ from kmrot import (
     NonFiniteError,
     NormKind,
     OutOfRangeError,
-    Schedule,
-    ScheduleKind,
     UnstableError,
     UnsupportedAlphaError,
     Vec2,
@@ -77,7 +75,7 @@ class TestL2Bound:
 
     def test_matches_trajectory_exactly(self):
         theta, alpha = Angle(1, 6), 0.35
-        traj = trajectory(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 120)
+        traj = trajectory(theta, NormKind.L2, alpha, Vec2(10.0, 30.0), 120)
         curve = l2_bound(theta, alpha, traj.norms[0], 120)
         for got, expected in zip(traj.norms, curve.values):
             assert got == pytest.approx(expected, rel=1e-10)
@@ -347,7 +345,7 @@ class TestDominanceSmoke:
         rng = random.Random(100 * p + q)
         for _ in range(10):
             x1 = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            traj = trajectory(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 80)
+            traj = trajectory(theta, NormKind.LINF, 0.5, x1, 80)
             curve = linf_bound(theta, 0.5, traj.norms[0], 80, beta_u=beta_u)
             for got, cap in zip(traj.norms, curve.values):
                 assert got <= cap + 1e-9

@@ -33,8 +33,6 @@ from kmrot import (
     NonFiniteError,
     NormKind,
     OutOfRangeError,
-    Schedule,
-    ScheduleKind,
     Vec2,
     linf_bound,
     mu,
@@ -121,7 +119,7 @@ class TestSimulate:
         )
         assert code == 0
         _, rows = parse_csv(out)
-        traj = trajectory(Angle(1, 12), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(3.0, -7.0), 40)
+        traj = trajectory(Angle(1, 12), NormKind.LINF, 0.5, Vec2(3.0, -7.0), 40)
         curve = linf_bound(Angle(1, 12), 0.5, traj.norms[0], 40, beta_u=0.8974)
         for row, a, b, value, cap in zip(rows, traj.x1, traj.x2, traj.norms, curve.values):
             assert float(row[1]) == a
@@ -486,11 +484,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("schedule", ["invk", "invsqrt", "invlog"])
     @pytest.mark.parametrize("alpha", ["0.3", "0.5"])
     def test_alpha_with_a_decaying_schedule_exits_2(self, schedule, alpha, capsys):
-        # a decaying schedule sets its own step sizes; 0.5, the default, too
+        # a decaying schedule sets its own step sizes; 0.5, the default, too.  It is simulate's usage error.
         argv = ["simulate", "--theta", "1/4", "--schedule", schedule, "--alpha", alpha, "--steps", "5"]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
-        assert err.endswith(f"error: --alpha applies only to --schedule const, not {schedule}\n")
+        assert err.startswith("usage: kmrot simulate [-h] --theta P/Q")
+        assert err.endswith(f"\nkmrot simulate: error: --alpha applies only to --schedule const, not {schedule}\n")
 
 
 def test_builtin_beta_table_is_the_published_figures():
@@ -649,6 +648,18 @@ class TestCsvBytes:
             "1,10,30,31.622776601683793,\n"
             "2,-13.900714267493642,28.301428534987284,31.530948515188911,\n"
             "3,-25.17249634685276,15.48965363437814,29.556453475431038,\n"
+        ),
+        "simulate --theta 1/6 --schedule invlog --norm linf --steps 3": (
+            "k,x1,x2,norm_value,bound_value\n"
+            "1,10,30,30,\n"
+            "2,-5.9776573018444843,30,30,\n"
+            "3,-24.500247528809396,30,30,\n"
+        ),
+        "simulate --theta 1/6 --schedule invk --norm linf --steps 3": (
+            "k,x1,x2,norm_value,bound_value\n"
+            "1,10,30,30,\n"
+            "2,-5.9776573018444843,30,30,\n"
+            "3,-16.152229922498229,30,30,\n"
         ),
         "simulate --theta 1/6 --x1=-0,-0 --steps 3": (
             "k,x1,x2,norm_value,bound_value\n"
@@ -929,6 +940,8 @@ class TestPublicApi:
         assert [name for name in kmrot.__all__ if not hasattr(kmrot, name)] == []
         # the benchmark kernel probe's adapter stays in kmrot.rotation only
         assert {"RotationOp", "apply_averaged"}.isdisjoint(dir(kmrot))
+        # a step size is a number or a rule k -> alpha_k, with no record around it
+        assert {"Schedule", "ScheduleKind", "step_size"}.isdisjoint(dir(kmrot))
 
 
 def _config(alpha=0.5, replicas=5, steps=3, seed=7) -> McConfig:
@@ -941,7 +954,6 @@ class TestRecords:
     REPRS = [
         (Angle(1, 12), "Angle(p=1, q=12)"),
         (Vec2(1.0, 2.0), "Vec2(x1=1.0, x2=2.0)"),
-        (Schedule(ScheduleKind.INV_K), "Schedule(kind=<ScheduleKind.INV_K: 'invk'>, alpha=None)"),
         (NoiseParams(2.0), "NoiseParams(a=2.0, b=0.0)"),
         (_config(), "McConfig(theta=Angle(p=1, q=4), alpha=0.5, x1=Vec2(x1=1.0, x2=3.0), "
                     "noise=NoiseParams(a=2.0, b=0.0), replicas=5, steps=3, seed=7, norm_kind=<NormKind.L2: 'l2'>)"),
@@ -977,7 +989,6 @@ class TestRecords:
         p, q = Angle(2, 24)
         assert (p, q, Angle(1, 12)[1]) == (1, 12, 12)
         assert Vec2(1.0, 2.0) == (1.0, 2.0)
-        assert Schedule(ScheduleKind.INV_K) == (ScheduleKind.INV_K, None)
 
     # Checks that run first win: the sign check before the gcd, the range
     # check on the reduced angle, finiteness before sign, alpha before counts.
@@ -986,8 +997,6 @@ class TestRecords:
         (lambda: Angle(-2, 4), ValueError, "angle numerator and denominator must be positive: -2/4"),
         (lambda: Angle(4, 2), ValueError, "angle must lie in (0, 2)*pi: got 2/1*pi"),
         (lambda: Vec2(math.inf, 1.0), NonFiniteError, "coordinates must be finite: (inf, 1.0)"),
-        (lambda: Schedule(ScheduleKind.CONSTANT), InvalidAlphaError, "alpha must lie in (0, 1): got None"),
-        (lambda: Schedule(ScheduleKind.INV_LOG, 0.5), ValueError, "invlog schedule takes no alpha"),
         (lambda: NoiseParams(math.nan, -1.0), NonFiniteError, "noise parameter a must be finite: got nan"),
         (lambda: NoiseParams(1.0, -0.5), ValueError, "noise parameter b must be >= 0: got -0.5"),
         (lambda: _config(alpha=1.0, replicas=0, seed=-1), InvalidAlphaError, "alpha must lie in (0, 1): got 1.0"),

@@ -1,4 +1,4 @@
-"""Step-size schedules and trajectory recording."""
+"""Step-size rules and trajectory recording."""
 
 import math
 import random
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from kmrot import (
     Angle,
+    InvalidAlphaError,
     NonFiniteError,
     NormKind,
-    Schedule,
-    ScheduleKind,
     Vec2,
     beta_l,
     mu,
@@ -22,9 +21,8 @@ from kmrot import (
     run_km,
     search_beta_u,
     sin_cos_pi,
-    step_size,
 )
-from kmrot.engine import CLIP_MAX
+from kmrot.engine import CLIP_MAX, DECAYING
 from kmrot.rotation import averaged_step
 
 from _support import sample_angle, trajectory
@@ -38,78 +36,64 @@ def _bits(v: float) -> bytes:
 
 
 class TestStepSize:
-    def test_constant(self):
-        assert step_size(Schedule(ScheduleKind.CONSTANT, 0.5), 7) == 0.5
-
     def test_inv_sqrt(self):
-        assert step_size(Schedule(ScheduleKind.INV_SQRT), 4) == 0.5
+        assert DECAYING["invsqrt"](4) == 0.5
 
     def test_inv_log_clips_at_start(self):
         # 1/log(2) is about 1.44, above the clip
-        assert step_size(Schedule(ScheduleKind.INV_LOG), 1) == 0.99
+        assert DECAYING["invlog"](1) == 0.99
 
     def test_inv_k(self):
-        assert step_size(Schedule(ScheduleKind.INV_K), 1) == 0.99
-        assert step_size(Schedule(ScheduleKind.INV_K), 4) == 0.25
+        assert DECAYING["invk"](1) == 0.99
+        assert DECAYING["invk"](4) == 0.25
 
-    @pytest.mark.parametrize(
-        "schedule",
-        [Schedule(ScheduleKind.CONSTANT, 0.5), Schedule(ScheduleKind.INV_LOG),
-         Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_K)],
-    )
-    def test_emitted_values_in_range(self, schedule):
+    @pytest.mark.parametrize("name", sorted(DECAYING))
+    def test_emitted_values_in_range(self, name):
         for k in range(1, 2001):
-            a = step_size(schedule, k)
+            a = DECAYING[name](k)
             assert 0.0 < a <= CLIP_MAX
 
-    def test_k_is_one_based(self):
-        with pytest.raises(ValueError):
-            step_size(Schedule(ScheduleKind.INV_K), 0)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            Schedule(ScheduleKind.CONSTANT, 1.0)
-        with pytest.raises(ValueError):
-            Schedule(ScheduleKind.CONSTANT)
-        with pytest.raises(ValueError):
-            Schedule(ScheduleKind.INV_LOG, alpha=0.5)
+    @pytest.mark.parametrize("alpha", [1.0, None])
+    def test_schedule_validation(self, alpha):
+        with pytest.raises(InvalidAlphaError):
+            run_km(Angle(1, 4), NormKind.L2, alpha, Vec2(1.0, 1.0), 3)
 
 
 class TestRunKm:
     def test_half_turn_collapses(self):
-        traj = trajectory(Angle(1, 1), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(10.0, 30.0), 3)
+        traj = trajectory(Angle(1, 1), NormKind.L2, 0.5, Vec2(10.0, 30.0), 3)
         assert (traj.x1, traj.x2) == ((10.0, 0.0, 0.0), (30.0, 0.0, 0.0))
         assert traj.norms[1:] == (0.0, 0.0)
 
     def test_quarter_turn_max_norm_steps(self):
-        traj = trajectory(Angle(1, 2), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.0, 0.0), 3)
+        traj = trajectory(Angle(1, 2), NormKind.LINF, 0.5, Vec2(1.0, 0.0), 3)
         assert (traj.x1, traj.x2) == ((1.0, 0.5, 0.0), (0.0, 0.5, 0.5))
 
     def test_l2_one_step_contraction(self):
-        traj = trajectory(Angle(1, 4), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(10.0, 30.0), 2)
+        traj = trajectory(Angle(1, 4), NormKind.L2, 0.5, Vec2(10.0, 30.0), 2)
         assert traj.norms[1] ** 2 == pytest.approx(mu(0.5, Angle(1, 4)) * traj.norms[0] ** 2, rel=1e-12)
 
     def test_length_and_recorded_norms(self):
-        traj = trajectory(Angle(2, 3), NormKind.LINF, Schedule(ScheduleKind.INV_SQRT), Vec2(4.0, -1.0), 50)
+        traj = trajectory(Angle(2, 3), NormKind.LINF, DECAYING["invsqrt"], Vec2(4.0, -1.0), 50)
         assert len(traj.x1) == len(traj.x2) == len(traj.norms) == 50
         for a, b, value in zip(traj.x1, traj.x2, traj.norms):
             assert value == norm(Vec2(a, b), NormKind.LINF)
         assert traj.norms[0] == 4.0
 
-    @given(angles, alphas, st.sampled_from(NormKind), st.sampled_from(list(ScheduleKind)),
+    @given(angles, alphas, st.sampled_from(NormKind), st.sampled_from(["const", *DECAYING]),
            st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
-    @example(Angle(1, 6), 0.5, NormKind.L2, ScheduleKind.CONSTANT, 0.0, 0.0)
-    @example(Angle(1, 6), 0.5, NormKind.LINF, ScheduleKind.CONSTANT, -0.0, -0.0)
-    @example(Angle(1, 64), 0.5, NormKind.LINF, ScheduleKind.INV_SQRT, 5e-324, -0.0)
-    @example(Angle(1, 64), 0.5, NormKind.L2, ScheduleKind.INV_LOG, -0.0, 5e-324)
-    def test_columns_match_averaged_step_bitwise(self, a, alpha, kind, schedule_kind, x1, x2):
-        schedule = Schedule(schedule_kind, alpha if schedule_kind is ScheduleKind.CONSTANT else None)
-        traj = trajectory(a, kind, schedule, Vec2(x1, x2), 12)
+    @example(Angle(1, 6), 0.5, NormKind.L2, "const", 0.0, 0.0)
+    @example(Angle(1, 6), 0.5, NormKind.LINF, "const", -0.0, -0.0)
+    @example(Angle(1, 64), 0.5, NormKind.LINF, "invsqrt", 5e-324, -0.0)
+    @example(Angle(1, 64), 0.5, NormKind.L2, "invlog", -0.0, 5e-324)
+    def test_columns_match_averaged_step_bitwise(self, a, alpha, kind, schedule, x1, x2):
+        rule = DECAYING.get(schedule)
+        traj = trajectory(a, kind, rule or alpha, Vec2(x1, x2), 12)
         s, c = sin_cos_pi(a.fraction)
         x = Vec2(x1, x2)
         expected = [x]
         for k in range(1, 12):
-            x = Vec2(*averaged_step(c, s, step_size(schedule, k), x.x1, x.x2, kind is NormKind.LINF))
+            x = Vec2(*averaged_step(c, s, rule(k) if rule else alpha, x.x1, x.x2, kind is NormKind.LINF))
             expected.append(x)
         assert [_bits(v) for v in traj.x1] == [_bits(p.x1) for p in expected]
         assert [_bits(v) for v in traj.x2] == [_bits(p.x2) for p in expected]
@@ -118,21 +102,19 @@ class TestRunKm:
     def test_later_non_finite_iterate_names_its_coordinates(self):
         # Rx itself overflows: s * x1 + c * x2 is inf, so g = 0 and inf * g is nan
         with pytest.raises(NonFiniteError, match=r"^coordinates must be finite: \(7\.5e\+307, nan\)$"):
-            list(run_km(Angle(1, 6), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.5e308, 1.5e308), 3))
+            list(run_km(Angle(1, 6), NormKind.LINF, 0.5, Vec2(1.5e308, 1.5e308), 3))
 
     @pytest.mark.parametrize("kind", list(NormKind))
     def test_scaled_start_gives_the_scaled_trajectory(self, kind):
         # 2^600 scales the start to about 4e180, past where ||x||_inf^2 overflows
-        schedule = Schedule(ScheduleKind.CONSTANT, 0.5)
-        traj = trajectory(Angle(1, 6), kind, schedule, Vec2(3.0, -7.0), 40)
-        big = trajectory(Angle(1, 6), kind, schedule, Vec2(math.ldexp(3.0, 600), math.ldexp(-7.0, 600)), 40)
+        traj = trajectory(Angle(1, 6), kind, 0.5, Vec2(3.0, -7.0), 40)
+        big = trajectory(Angle(1, 6), kind, 0.5, Vec2(math.ldexp(3.0, 600), math.ldexp(-7.0, 600)), 40)
         for col, big_col in zip((traj.x1, traj.x2, traj.norms), (big.x1, big.x2, big.norms)):
             assert [_bits(v) for v in big_col] == [_bits(math.ldexp(v, 600)) for v in col]
 
     def test_iterates_are_stepped_as_they_are_read(self):
-        schedule = Schedule(ScheduleKind.CONSTANT, 0.5)
-        iterates = run_km(Angle(1, 6), NormKind.LINF, schedule, Vec2(3.0, -7.0), 10**15)
-        short = trajectory(Angle(1, 6), NormKind.LINF, schedule, Vec2(3.0, -7.0), 2)
+        iterates = run_km(Angle(1, 6), NormKind.LINF, 0.5, Vec2(3.0, -7.0), 10**15)
+        short = trajectory(Angle(1, 6), NormKind.LINF, 0.5, Vec2(3.0, -7.0), 2)
         assert [next(iterates), next(iterates)] == list(zip(*short))
         assert short.x1[0] == 3.0 and short.norms[0] == 7.0
 
@@ -140,22 +122,21 @@ class TestRunKm:
     def test_start_checks_run_before_the_first_read(self, steps):
         error = ValueError if steps < 1 else NonFiniteError
         with pytest.raises(error):
-            run_km(Angle(1, 6), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.5e308, 1.5e308), steps)
+            run_km(Angle(1, 6), NormKind.L2, 0.5, Vec2(1.5e308, 1.5e308), steps)
 
     def test_steps_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_km(Angle(1, 4), NormKind.L2, Schedule(ScheduleKind.CONSTANT, 0.5), Vec2(1.0, 1.0), 0)
+            run_km(Angle(1, 4), NormKind.L2, 0.5, Vec2(1.0, 1.0), 0)
 
     def test_max_norm_trajectories_non_increasing(self):
         rng = random.Random(31)
         for _ in range(25):
             theta = sample_angle(rng)
-            schedule = random.Random(rng.random()).choice(
-                [Schedule(ScheduleKind.CONSTANT, rng.uniform(0.05, 0.95)),
-                 Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_LOG)]
+            alpha = random.Random(rng.random()).choice(
+                [rng.uniform(0.05, 0.95), DECAYING["invsqrt"], DECAYING["invlog"]]
             )
             x1 = Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50))
-            traj = trajectory(theta, NormKind.LINF, schedule, x1, 60)
+            traj = trajectory(theta, NormKind.LINF, alpha, x1, 60)
             for a, b in zip(traj.norms, traj.norms[1:]):
                 assert b <= a + 1e-12
 
@@ -164,7 +145,7 @@ class TestTrajectoryLaws:
     def test_l2_norms_follow_closed_form(self):
         for alpha in (0.3, 0.5, 0.8):
             theta = Angle(1, 4)
-            traj = trajectory(theta, NormKind.L2, Schedule(ScheduleKind.CONSTANT, alpha), Vec2(10.0, 30.0), 200)
+            traj = trajectory(theta, NormKind.L2, alpha, Vec2(10.0, 30.0), 200)
             g = mu(alpha, theta)
             d = traj.norms[0]
             for i, value in enumerate(traj.norms):
@@ -174,7 +155,7 @@ class TestTrajectoryLaws:
         rng = random.Random(8)
         for _ in range(50):
             x1 = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            traj = trajectory(Angle(3, 4), NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 30)
+            traj = trajectory(Angle(3, 4), NormKind.LINF, 0.5, x1, 30)
             for a, b in zip(traj.norms, traj.norms[1:]):
                 assert b <= 0.5 * a + 1e-12
 
@@ -189,7 +170,7 @@ class TestTrajectoryLaws:
             x1 = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
             if norm(x1, NormKind.LINF) < 1e-3:
                 continue
-            traj = trajectory(theta, NormKind.LINF, Schedule(ScheduleKind.CONSTANT, 0.5), x1, 5 * period + 1)
+            traj = trajectory(theta, NormKind.LINF, 0.5, x1, 5 * period + 1)
             for i in range(len(traj.norms) - period):
                 before, after = traj.norms[i], traj.norms[i + period]
                 assert after <= upper * before + 1e-9
@@ -198,7 +179,6 @@ class TestTrajectoryLaws:
     def test_decaying_schedule_ordering(self):
         # after 1000 steps the log schedule is fastest, then sqrt, then 1/k
         finals = {}
-        for schedule in (Schedule(ScheduleKind.INV_LOG), Schedule(ScheduleKind.INV_SQRT), Schedule(ScheduleKind.INV_K)):
-            traj = trajectory(Angle(1, 4), NormKind.L2, schedule, Vec2(10.0, 30.0), 1000)
-            finals[schedule.kind] = traj.norms[-1]
-        assert finals[ScheduleKind.INV_LOG] < finals[ScheduleKind.INV_SQRT] < finals[ScheduleKind.INV_K]
+        for name, rule in DECAYING.items():
+            finals[name] = trajectory(Angle(1, 4), NormKind.L2, rule, Vec2(10.0, 30.0), 1000).norms[-1]
+        assert finals["invlog"] < finals["invsqrt"] < finals["invk"]

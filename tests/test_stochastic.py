@@ -25,14 +25,13 @@ from kmrot import (
     NoiseParams,
     NonFiniteError,
     NormKind,
-    Schedule,
-    ScheduleKind,
     Vec2,
     l2_bound,
     linf_bound,
     mu,
     noise_bound,
     replica_rng,
+    run_km,
     run_stochastic_km,
     sin_cos_pi,
 )
@@ -85,14 +84,15 @@ def scalar_paths(cfg, replicas):
     return paths
 
 
-# every entry point that takes a step size, called with alpha = a
+# every entry point that takes a step size, called with alpha = a and every count 0:
+# alpha is checked before counts
 ALPHA_ENTRIES = {
-    "Schedule": lambda a: Schedule(ScheduleKind.CONSTANT, a),
-    "McConfig": lambda a: make_config(alpha=a),
+    "McConfig": lambda a: make_config(alpha=a, replicas=0, steps=0),
     "mu": lambda a: mu(a, Angle(1, 4)),
-    "l2_bound": lambda a: l2_bound(Angle(1, 4), a, 1.0, 3),
-    "linf_bound": lambda a: linf_bound(Angle(1, 4), a, 1.0, 3),
-    "noise_bound": lambda a: noise_bound(Angle(1, 4), a, 1.0, 2.0, 0.0, 3),
+    "l2_bound": lambda a: l2_bound(Angle(1, 4), a, 1.0, 0),
+    "linf_bound": lambda a: linf_bound(Angle(1, 4), a, 1.0, 0),
+    "noise_bound": lambda a: noise_bound(Angle(1, 4), a, 1.0, 2.0, 0.0, 0),
+    "run_km": lambda a: run_km(Angle(1, 4), NormKind.L2, a, Vec2(1.0, 1.0), 0),
 }
 
 
