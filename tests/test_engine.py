@@ -36,6 +36,13 @@ def _bits(v: float) -> bytes:
 
 
 class TestStepSize:
+    def test_constant(self):
+        # a number is the step size of every step: the same bits as the rule k -> 0.5
+        args = (Angle(1, 7), NormKind.LINF)
+        const = trajectory(*args, 0.5, Vec2(3.0, -2.0), 20)
+        rule = trajectory(*args, lambda k: 0.5, Vec2(3.0, -2.0), 20)
+        assert [_bits(v) for v in const.x1 + const.x2] == [_bits(v) for v in rule.x1 + rule.x2]
+
     def test_inv_sqrt(self):
         assert DECAYING["invsqrt"](4) == 0.5
 
@@ -52,6 +59,12 @@ class TestStepSize:
         for k in range(1, 2001):
             a = DECAYING[name](k)
             assert 0.0 < a <= CLIP_MAX
+
+    def test_k_is_one_based(self):
+        # the first step is k = 1, where invk and invlog clip; one k per step after the start
+        seen = []
+        trajectory(Angle(1, 4), NormKind.L2, lambda k: seen.append(k) or 0.5, Vec2(1.0, 1.0), 5)
+        assert seen == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("alpha", [1.0, None])
     def test_schedule_validation(self, alpha):
