@@ -7,13 +7,11 @@ affine-variance noise.
 """
 
 from .beta_search import (
-    BetaSearchResult,
     beta_l,
     pseudo_period,
     search_beta_u,
 )
 from .bounds import (
-    BoundCurve,
     l2_bound,
     linf_bound,
     mu,
@@ -34,14 +32,10 @@ from .rotation import (
     NormKind,
     Vec2,
     norm,
-    sin_cos_pi,
-    tan_pi,
 )
 from .stochastic import (
     McConfig,
-    McResult,
     NoiseParams,
-    replica_rng,
     run_stochastic_km,
 )
 
@@ -49,12 +43,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Angle",
-    "BetaSearchResult",
-    "BoundCurve",
     "InvalidAlphaError",
     "KmrotError",
     "McConfig",
-    "McResult",
     "NoiseParams",
     "NonFiniteError",
     "NormKind",
@@ -70,10 +61,7 @@ __all__ = [
     "norm",
     "optimal_alpha_l2",
     "pseudo_period",
-    "replica_rng",
     "run_km",
     "run_stochastic_km",
     "search_beta_u",
-    "sin_cos_pi",
-    "tan_pi",
 ]

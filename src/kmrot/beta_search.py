@@ -41,11 +41,9 @@ MAX_SEARCH_STEPS = 2**31
 
 
 class BetaSearchResult(NamedTuple):
-    theta: Angle
     period: int
     beta_u: float
     argmax_start: Vec2
-    grid_step: float
 
 
 def pseudo_period(theta: Angle) -> int:
@@ -119,4 +117,4 @@ def search_beta_u(theta: Angle, grid_step: float = 1e-4) -> BetaSearchResult:
     fine = [best_t + span * j / _REFINE_FACTOR for j in range(-_REFINE_FACTOR, _REFINE_FACTOR + 1)]
     best, best_t = _edge_max(c, s, period, np.array([t for t in fine if -1.0 <= t <= 1.0]))
 
-    return BetaSearchResult(theta, period, best, Vec2(best_t, 1.0), grid_step)
+    return BetaSearchResult(period, best, Vec2(best_t, 1.0))

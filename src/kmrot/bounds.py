@@ -1,10 +1,12 @@
 """Closed-form per-iteration upper bounds for the averaged rotation iteration.
 
-Every evaluator returns a BoundCurve aligned index-for-index with the
-iterates of run_km: values[i] bounds the distance to the fixed point at
-iterate k = i + 1, and values[0] always equals the initial distance
+Every evaluator returns a BoundCurve whose values are read in order, in
+step with the iterates of run_km: the k-th value bounds the distance to the
+fixed point at iterate k, and the first always equals the initial distance
 (squared, for the mean-square noise bound).  Every value is computed when
-read.  Bounds exist only for constant step sizes.
+read, and each pass starts again at k = 1.  A curve cannot be indexed; it
+keeps a len only for the benchmark's value count (BoundCurve).  Bounds
+exist only for constant step sizes.
 
 The max-norm bound searches for its per-period factor beta_u with
 kmrot.beta_search unless the caller passes one (the paper's table, say) or
@@ -14,7 +16,7 @@ the curve ends within the first pseudo-period.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -25,8 +27,8 @@ from .rotation import Angle, sin_cos_pi, tan_pi
 _HALF = Fraction(1, 2)
 
 
-class _Curve(Sequence):
-    """value(k) for k in `ks` as a read-only sequence, each evaluated when read; a slice is a _Curve."""
+class _Curve:
+    """value(k) for k in `ks`, in order, each evaluated when read."""
 
     def __init__(self, value: Callable[[int], float], ks: range) -> None:
         self._value, self._ks = value, ks
@@ -34,18 +36,17 @@ class _Curve(Sequence):
     def __len__(self) -> int:
         return len(self._ks)
 
-    def __getitem__(self, i):
-        ks = self._ks[i]
-        return _Curve(self._value, ks) if isinstance(i, slice) else self._value(ks)
-
     def __iter__(self) -> Iterator[float]:
         return map(self._value, self._ks)
 
 
 class BoundCurve(NamedTuple):
-    """Upper-bound values per iterate; values[0] is D = dist(x_1, 0), or D^2 for noise_bound."""
+    """Upper-bound values per iterate, read in order; the first is D = dist(x_1, 0), or D^2 for noise_bound.
 
-    values: Sequence[float]
+    The wrapper and len(values) stay for the benchmark's traced pass, which counts values with them.
+    """
+
+    values: Iterable[float]
 
 
 def mu(alpha: float, theta: Angle) -> float:
@@ -118,7 +119,7 @@ def linf_bound(theta: Angle, alpha: float, d: float, k_max: int,
 def noise_bound(theta: Angle, alpha: float, d_sq: float, a: float, b: float, k_max: int) -> BoundCurve:
     """Mean-square bound under zero-mean noise with affine second moment.
 
-    With rho = mu + alpha^2 * b, values[k] = rho^(k-1) * D^2
+    With rho = mu + alpha^2 * b, the value at k is rho^(k-1) * D^2
     + a * alpha^2 * (1 - rho^(k-1)) / (1 - rho).  Requires rho < 1; for
     b > 0 that means b < (1 - mu) / alpha^2.  Values bound the expected
     squared Euclidean norm, not the norm itself.  Raises NonFiniteError

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from contextlib import closing, nullcontext
 from itertools import count, islice
 
@@ -96,7 +96,7 @@ REFERENCE_BETA_U: dict[Angle, float] = {
 }
 
 
-def _bound_values(args: argparse.Namespace, d: float, steps: int) -> Sequence[float]:
+def _bound_values(args: argparse.Namespace, d: float, steps: int) -> Iterable[float]:
     """Bound curve for a constant-step configuration.
 
     Under --beta-table builtin the paper's beta_u is passed where the table
@@ -132,7 +132,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
 def _cmd_search_beta(args: argparse.Namespace) -> tuple[str, Iterable[str]]:
     res = search_beta_u(args.theta, args.grid_step)
     row = "%d/%d,%d,%.17g,%.17g,%.17g\n" % (
-        res.theta.p, res.theta.q, res.period, res.beta_u, res.argmax_start.x1, res.grid_step
+        args.theta.p, args.theta.q, res.period, res.beta_u, res.argmax_start.x1, args.grid_step
     )
     return "theta,period,beta_u,argmax_t,grid_step\n", [row]
 

@@ -13,9 +13,10 @@ from typing import NamedTuple
 
 import pytest
 
-from kmrot import Angle, BoundCurve, McConfig, beta_l, mu, pseudo_period, run_km, run_stochastic_km, sin_cos_pi
+from kmrot import Angle, McConfig, beta_l, mu, pseudo_period, run_km, run_stochastic_km
+from kmrot.bounds import BoundCurve
 from kmrot.cli import main
-from kmrot.rotation import averaged_step
+from kmrot.rotation import averaged_step, sin_cos_pi
 
 
 # The paper's per-period contraction factors beta_u, to four decimals.

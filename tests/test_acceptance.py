@@ -24,10 +24,9 @@ from kmrot import (
     norm,
     optimal_alpha_l2,
     search_beta_u,
-    sin_cos_pi,
 )
 from kmrot.engine import DECAYING
-from kmrot.rotation import averaged_step, turn
+from kmrot.rotation import averaged_step, sin_cos_pi, turn
 
 from _support import (
     PUBLISHED_BETA_U,

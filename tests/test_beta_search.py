@@ -19,10 +19,9 @@ from kmrot import (
     norm,
     pseudo_period,
     search_beta_u,
-    sin_cos_pi,
 )
 from kmrot.beta_search import MIN_GRID_STEP
-from kmrot.rotation import averaged_step, km_step
+from kmrot.rotation import averaged_step, km_step, sin_cos_pi
 
 from _support import PUBLISHED_BETA_U, scalar_period_check
 
@@ -59,7 +58,7 @@ class TestSearch:
         assert res.beta_u == 0.5
         assert res.period == 2
         assert res.argmax_start == Vec2(-1.0, 1.0)
-        assert res.grid_step == 1e-3
+        assert res._fields == ("period", "beta_u", "argmax_start")
 
     def test_coarse_grid_lands_near_reference(self):
         for (p, q), reference in PUBLISHED_BETA_U.items():

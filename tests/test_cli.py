@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import collections
 import copy
 import errno
 import inspect
@@ -20,13 +21,12 @@ import pytest
 
 import kmrot
 import kmrot.beta_search as beta_search
+import kmrot.bounds as bounds
 import kmrot.cli as cli
 import kmrot.rotation as rotation
 import kmrot.stochastic as stochastic
 from kmrot import (
     Angle,
-    BetaSearchResult,
-    BoundCurve,
     InvalidAlphaError,
     McConfig,
     NoiseParams,
@@ -34,11 +34,16 @@ from kmrot import (
     NormKind,
     OutOfRangeError,
     Vec2,
+    l2_bound,
     linf_bound,
     mu,
+    noise_bound,
+    run_km,
+    run_stochastic_km,
     search_beta_u,
 )
-from kmrot.beta_search import MIN_GRID_STEP
+from kmrot.beta_search import MIN_GRID_STEP, BetaSearchResult
+from kmrot.bounds import BoundCurve
 
 from _support import PUBLISHED_BETA_U, assert_no_child_left, parse_csv, run_cli, trajectory
 
@@ -677,6 +682,11 @@ class TestCsvBytes:
             "theta,period,beta_u,argmax_t,grid_step\n"
             "1/3,3,0.68300145915827803,0.87599999999999989,0.001\n"
         ),
+        # theta and grid_step come from the parsed arguments, the angle in lowest terms
+        "search-beta --theta 2/24 --grid-step 1e-3": (
+            "theta,period,beta_u,argmax_t,grid_step\n"
+            "1/12,12,0.89739721431716524,-0.79480000000000006,0.001\n"
+        ),
         "mc --theta 1/4 --x1 1,3 --replicas 20 --steps 3 --seed 5": (
             "k,mean_sq_norm,std_err,bound_sq,bound_unstable\n"
             "1,10,0,10,0\n"
@@ -783,6 +793,27 @@ class TestTracedNames:
         monkeypatch.setattr(layers, "KERNEL_REPEATS", 1)
         found = layers._kernel_ns(rotation)
         assert set(found) == {"rotation.apply_averaged_l2_ns", "rotation.apply_averaged_linf_ns"}
+
+    def test_counters_read_library_results(self, monkeypatch):
+        # the tracer's counters take the wrapped call's arguments and result; bounds.values reads len(curve.values)
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+        import layers
+
+        counts = collections.defaultdict(float)
+        args = (Angle(1, 4), NormKind.L2, 0.5, Vec2(1.0, 3.0), 7)
+        layers._count_steps(counts, args, {}, run_km(*args))
+        for bound, args in [(l2_bound, (Angle(1, 4), 0.5, 2.0, 5)), (linf_bound, (Angle(1, 3), 0.5, 2.0, 6)),
+                            (noise_bound, (Angle(1, 4), 0.5, 4.0, 2.0, 0.1, 7))]:
+            layers._count_values(counts, args, {}, bound(*args))
+        layers._count_search(counts, (Angle(1, 3), 1e-3), {}, search_beta_u(Angle(1, 3), 1e-3))
+        cfg = _config(replicas=5, steps=3)
+        res = run_stochastic_km(cfg)
+        layers._count_mc(counts, (cfg,), {}, res)
+        res.rows.close()
+        starts = 2001 + 21  # round(2 / 1e-3) + 1 grid starts and the refine pass
+        assert counts == {"engine.steps": 7, "bounds.values": 5 + 6 + 7, "beta_search.starts": starts,
+                          "beta_search.period_steps": starts * 3, "stochastic.replica_steps": 5 * 2,
+                          "stochastic.matrix_mib": 5 * 3 * 8 / 2**20}
 
 
 class TestModuleEntry:
@@ -935,13 +966,39 @@ class TestStartup:
 
 
 class TestPublicApi:
+    # the paper's objects, its error types and the records that configure them
+    NAMES = [
+        "Angle", "InvalidAlphaError", "KmrotError", "McConfig", "NoiseParams", "NonFiniteError", "NormKind",
+        "OutOfRangeError", "UnstableError", "UnsupportedAlphaError", "Vec2", "beta_l", "l2_bound", "linf_bound",
+        "mu", "noise_bound", "norm", "optimal_alpha_l2", "pseudo_period", "run_km", "run_stochastic_km",
+        "search_beta_u",
+    ]
+    # result records and helpers, importable from their modules only
+    MODULE_ONLY = {
+        "BetaSearchResult": beta_search, "BoundCurve": bounds, "McResult": stochastic,
+        "replica_rng": stochastic, "sin_cos_pi": rotation, "tan_pi": rotation,
+    }
+
     def test_all_names_resolve_once(self):
-        assert len(set(kmrot.__all__)) == len(kmrot.__all__)
+        assert kmrot.__all__ == self.NAMES
         assert [name for name in kmrot.__all__ if not hasattr(kmrot, name)] == []
         # the benchmark kernel probe's adapter stays in kmrot.rotation only
         assert {"RotationOp", "apply_averaged"}.isdisjoint(dir(kmrot))
         # a step size is a number or a rule k -> alpha_k, with no record around it
         assert {"Schedule", "ScheduleKind", "step_size"}.isdisjoint(dir(kmrot))
+
+    def test_module_only_names(self):
+        for name, module in self.MODULE_ONLY.items():
+            assert hasattr(module, name) and not hasattr(kmrot, name)
+
+    def test_benchmark_regenerate_line_resolves(self):
+        # bench/README.md's line that regenerates workloads.ARGMAX_T
+        namespace = {}
+        exec("from kmrot import *", namespace)
+        search, angle = namespace["search_beta_u"], namespace["Angle"]
+        found = [format(search(angle(1, q)).argmax_start.x1, ".17g") for q in (12, 6, 4, 3)]
+        assert found == ["-0.79479999999999995", "-0.64239000000000013", "-0.50089000000000006",
+                         "0.26795000000000002"]
 
 
 def _config(alpha=0.5, replicas=5, steps=3, seed=7) -> McConfig:
@@ -957,9 +1014,8 @@ class TestRecords:
         (NoiseParams(2.0), "NoiseParams(a=2.0, b=0.0)"),
         (_config(), "McConfig(theta=Angle(p=1, q=4), alpha=0.5, x1=Vec2(x1=1.0, x2=3.0), "
                     "noise=NoiseParams(a=2.0, b=0.0), replicas=5, steps=3, seed=7, norm_kind=<NormKind.L2: 'l2'>)"),
-        (BetaSearchResult(Angle(1, 2), 2, 0.5, Vec2(0.0, 1.0), 0.001),
-         "BetaSearchResult(theta=Angle(p=1, q=2), period=2, beta_u=0.5, argmax_start=Vec2(x1=0.0, x2=1.0), "
-         "grid_step=0.001)"),
+        (BetaSearchResult(2, 0.5, Vec2(0.0, 1.0)),
+         "BetaSearchResult(period=2, beta_u=0.5, argmax_start=Vec2(x1=0.0, x2=1.0))"),
         (BoundCurve((1.0, 0.5)), "BoundCurve(values=(1.0, 0.5))"),
     ]
 

@@ -20,10 +20,9 @@ from kmrot import (
     pseudo_period,
     run_km,
     search_beta_u,
-    sin_cos_pi,
 )
 from kmrot.engine import CLIP_MAX, DECAYING
-from kmrot.rotation import averaged_step
+from kmrot.rotation import averaged_step, sin_cos_pi
 
 from _support import sample_angle, trajectory
 

@@ -18,10 +18,9 @@ from kmrot import (
     NormKind,
     Vec2,
     norm,
-    sin_cos_pi,
 )
 from kmrot.bounds import mu
-from kmrot.rotation import averaged_step, km_step, turn
+from kmrot.rotation import averaged_step, km_step, sin_cos_pi, turn
 
 angles = st.integers(1, 64).flatmap(lambda q: st.integers(1, 2 * q - 1).map(lambda p: Angle(p, q)))
 coords = st.floats(min_value=-1e6, max_value=1e6)

@@ -30,12 +30,11 @@ from kmrot import (
     linf_bound,
     mu,
     noise_bound,
-    replica_rng,
     run_km,
     run_stochastic_km,
-    sin_cos_pi,
 )
-from kmrot.rotation import km_step
+from kmrot.rotation import km_step, sin_cos_pi
+from kmrot.stochastic import replica_rng
 
 from _support import Z_MC, assert_no_child_left, mc_columns, mc_z_scores
 
