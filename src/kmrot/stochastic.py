@@ -15,21 +15,20 @@ and replica r's noise pair is row r - 2048 b of that draw.  So a path
 depends only on (seed, r), plus R for the replicas of a last, partial
 block; never on the step block or the worker count.
 
-Each noise block is also the unit of work: a chunk steps one block's
-replicas in place with each step's draw.  A run goes one step block at a
-time, as many steps as fill one ExactSums pass (_BLOCK values) of a whole
-block, at most 1024: each chunk's squared norms for the block are added
-into exact Python-int sums of x and x^2 per step (ExactSums).  Up to one
-process per available CPU, at most one per noise block and with no option,
-each runs a contiguous range of whole blocks, near-equal in count; their
+Up to one process per available CPU, at most one per noise block and with
+no option, each runs a share of whole noise blocks, contiguous and
+near-equal in count.  A run goes one step block at a time, _BLOCK values of
+a whole noise block, at most 1024 steps: a process steps its share a window
+of _WINDOW noise blocks at a time and adds each block's squared norms into
+exact Python-int sums of x and x^2 per step (ExactSums).  The processes'
 integer totals are added exactly, so every byte of the result is
-independent of the order of chunks and of the worker count.  Memory per
-process is O(replicas / workers) plus one step block's totals: between
-blocks a chunk keeps its coordinates (16 bytes per replica) and one
-generator.  Each mean is the exact mean rounded once; each standard error
-is the square root of the exact sample variance rounded once.  A
-noise-free run (a = b = 0) has one path, which run_km steps as its rows
-are read.
+independent of the order of the sums and of the worker count.  Memory per
+process is O(replicas / workers) plus one window's scratch and one step
+block's totals: between step blocks a process keeps its coordinates (16
+bytes per replica) and one generator per noise block.  Each mean is the
+exact mean rounded once; each standard error is the square root of the
+exact sample variance rounded once.  A noise-free run (a = b = 0) has one
+path, which run_km steps as its rows are read.
 
 numpy is imported by the functions that use it, not by the module: kmrot
 and its CLI import this module's names, and simulate, bound and a
@@ -52,15 +51,17 @@ from .rotation import Angle, NormKind, Vec2, km_step, sin_cos_pi
 if TYPE_CHECKING:
     import numpy as np
 
-_NOISE_BLOCK = 2048  # replicas whose noise one generator draws, stepped together; part of the output contract
+_NOISE_BLOCK = 2048  # replicas whose noise one generator draws; part of the output contract
+_WINDOW = 8  # noise blocks stepped together; sizes the scratch
+_BLOCK = 2**14  # samples of a noise block per step block
 _ADD_SAMPLES = 2**16
-_BLOCK = 2**14  # samples, and bins, per frexp/bincount pass; bounds the temporaries
+_PASS = 2**12  # samples, and bins, per frexp/bincount pass: temporaries below glibc's mmap threshold
 _SPAN = 36  # the largest piece shift, in exponent steps
 _LIMB = 5  # bins per int64 limb of the fold
 _UNIT = 1073 + 53  # frexp exponents are >= -1073, so 2^-_UNIT divides every x
 
-# Between step blocks a run keeps about 17.5 bytes per replica: one process
-# with 2^24 replicas peaked at 315 MiB (x86-64 Linux, numpy 2.4.6).
+# Between step blocks a run keeps about 16.6 bytes per replica: one process
+# with 2^24 replicas peaked at 300 MiB (x86-64 Linux, numpy 2.4.6).
 MAX_MC_REPLICAS = 2**24
 
 
@@ -111,11 +112,9 @@ class McResult(NamedTuple):
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
     """The generator that draws `replica`'s noise in a run seeded with `seed`.
 
-    It feeds the noise block b = replica // _NOISE_BLOCK, replicas
-    [2048 b, 2048 (b + 1)) cut at the run's R: each step draws one
-    standard_normal((n_b, 2)), n_b = min(2048, R - 2048 b), and replica r's
-    noise pair is row r - 2048 b.  _NOISE_BLOCK is part of the output
-    contract: another value changes every noisy byte.
+    It feeds noise block replica // _NOISE_BLOCK, as the module docstring
+    describes.  _NOISE_BLOCK is part of the output contract: another value
+    changes every noisy byte.
     """
     import numpy as np
 
@@ -134,7 +133,7 @@ class ExactSums:
     exponent in that call, and folds the bins at once into exact Python-int
     totals, _LIMB adjacent bins to one int64 limb; the totals are all it
     keeps between calls.  A zero adds nothing to its bin (exponent 0); a pass
-    holds as many rows as fit in _BLOCK bins, however far a row spans.  This
+    holds as many rows as fit in _PASS bins, however far a row spans.  This
     is a small superaccumulator (Neal 2015, arXiv:1505.05571); the split of
     x^2 is error-free, like Dekker's (1971), and exact for subnormals too.
     Integer totals make the sums independent of the order of samples and of
@@ -169,7 +168,7 @@ class ExactSums:
             for k, bad in enumerate((count - finite.sum(axis=1)).tolist()):
                 self._bad[k] += bad
             block = np.where(finite, block, 0.0)
-        rows, done = max(1, _BLOCK // count), 0
+        rows, done = max(1, _PASS // count), 0
         while done < len(block):
             rows = self._add_rows(done, block[done:done + rows])
             done += rows
@@ -183,8 +182,8 @@ class ExactSums:
         # bin e - lo of row r, in rows of whole limbs; a piece shifted by s
         # lands s bins higher
         width = -(-(int((e.max(axis=1) - lo).max()) + 1 + _SPAN) // _LIMB) * _LIMB
-        if len(block) > 1 and len(block) * width > _BLOCK:
-            return self._add_rows(first, block[:len(block) // 2])  # the bins, too, stay within _BLOCK
+        if len(block) > 1 and len(block) * width > _PASS:
+            return self._add_rows(first, block[:len(block) // 2])  # the bins, too, stay within _PASS
         size = len(block) * width
         index = (e - lo[:, None] + np.arange(0, size, width)[:, None]).ravel()
         m = f * 2.0**53
@@ -252,69 +251,70 @@ def _sqrt_ratio(p: int, q: int) -> float:
     return math.ldexp(math.sqrt(r), h)
 
 
-def _simulate_chunk(cfg: McConfig, block: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Squared norms of the replicas of noise block `block`, a step block at a time.
+def _simulate_share(cfg: McConfig, blocks: range) -> Iterator[tuple[int, ExactSums]]:
+    """Each step block's first step and the exact sums of the squared norms of noise blocks `blocks`.
 
-    Yields (first, sq), where sq[j] holds step first + j of each replica, in
-    a new array per step block; every chunk of a run has the same step
-    blocks (see the module docstring), the last cut at cfg.steps.  Between
-    step blocks it keeps only the coordinates and the noise block's
-    generator (replica_rng), which draws the block's noise before each
-    step, and after the last record neither draws nor steps, so a 1-step
-    run builds no generator.  km_step steps the replicas in place,
-    element-wise, so no path depends on the step block bounds.
+    The share keeps its coordinates and one generator per noise block
+    (replica_rng), which fills its block's rows of each step's draw; after
+    the last record none draws, so a 1-step run builds no generator.
+    km_step steps a window of replicas in place, element-wise, so no path
+    depends on the step block or window bounds.
     """
     import numpy as np
 
-    start = block * _NOISE_BLOCK
-    m = min(_NOISE_BLOCK, cfg.replicas - start)
+    m = min(blocks.stop * _NOISE_BLOCK, cfg.replicas) - blocks.start * _NOISE_BLOCK
     a, b = cfg.noise.a, cfg.noise.b
     s, c = sin_cos_pi(cfg.theta.fraction)
     linf = cfg.norm_kind is NormKind.LINF
-    rng = replica_rng(cfg.seed, start) if cfg.steps > 1 else None
-    x1 = np.full(m, cfg.x1.x1)
-    x2 = np.full(m, cfg.x1.x2)
+    rngs = [replica_rng(cfg.seed, block * _NOISE_BLOCK) for block in blocks] if cfg.steps > 1 else []
+    x1, x2 = np.full(m, cfg.x1.x1), np.full(m, cfg.x1.x2)
     scale = math.sqrt(a * 0.5)  # for b = 0; b * ||x||^2 would be 0 * inf = nan where ||x||^2 overflows
-
-    def step_block(first: int, n: int) -> np.ndarray:
-        z = np.empty((m, 2))
-        z1, z2 = z[:, 0], z[:, 1]
-        w1, w2 = np.empty(m), np.empty(m)
-        sq = np.empty((n, m))
-        # errstate lives in a context variable: one held across the yield
-        # below would hold in the reader's code too
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, row in enumerate(sq, first):
-                if k:  # step from the last record
-                    rng.standard_normal(out=z)
-                    if b > 0.0:
-                        # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
-                        if linf or k == first:  # no l2 record of x in this block yet
-                            np.multiply(x1, x1, out=w1)
-                            w1 += np.multiply(x2, x2, out=w2)
-                            w1 *= b
-                        else:
-                            np.multiply(b, sq[k - first - 1], out=w1)
-                        w1 += a
-                        w1 *= 0.5
-                        np.sqrt(w1, out=w1)
-                        np.multiply(w1, z2, out=w2)
-                        w1 *= z1
-                    else:
-                        np.multiply(scale, z1, out=w1)
-                        np.multiply(scale, z2, out=w2)
-                    km_step(c, s, cfg.alpha, x1, x2, linf, w1, w2, out=(x1, x2))
-                if linf:
-                    np.maximum(np.abs(x1, out=w1), np.abs(x2, out=w2), out=row)
-                    row *= row
-                else:
-                    np.multiply(x1, x1, out=row)
-                    row += np.multiply(x2, x2, out=w1)
-        return sq
-
     steps = min(1024, max(1, _BLOCK // min(_NOISE_BLOCK, cfg.replicas)))
+    window = min(m, _WINDOW * _NOISE_BLOCK)
+    z, w, scratch = np.empty((window, 2)), np.empty((2, window)), np.empty(steps * window)
     for first in range(0, cfg.steps, steps):
-        yield first, step_block(first, min(steps, cfg.steps - first))
+        n = min(steps, cfg.steps - first)
+        sums = ExactSums(n, cfg.replicas)
+        # errstate is a context variable: held across the yield, it would hold for the reader too
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, m, window):
+                y1, y2 = x1[lo:lo + window], x2[lo:lo + window]
+                width = len(y1)
+                zw, (w1, w2) = z[:width], w[:, :width]
+                z1, z2 = zw.T
+                sq = scratch[:n * width].reshape(n, width)
+                draws = [(rng, zw[j:j + _NOISE_BLOCK])
+                         for rng, j in zip(rngs[lo // _NOISE_BLOCK:], range(0, width, _NOISE_BLOCK))]
+                for k, row in enumerate(sq, first):
+                    if k:  # step from the last record
+                        for rng, out in draws:
+                            rng.standard_normal(out=out)
+                        if b > 0.0:
+                            # w1 = sqrt((a + b * ||x||_2^2) * 0.5), then the noise
+                            if linf or k == first:  # no l2 record of x in this block yet
+                                np.multiply(y1, y1, out=w1)
+                                w1 += np.multiply(y2, y2, out=w2)
+                                w1 *= b
+                            else:
+                                np.multiply(b, sq[k - first - 1], out=w1)
+                            w1 += a
+                            w1 *= 0.5
+                            np.sqrt(w1, out=w1)
+                            np.multiply(w1, z2, out=w2)
+                            w1 *= z1
+                        else:
+                            np.multiply(scale, z1, out=w1)
+                            np.multiply(scale, z2, out=w2)
+                        km_step(c, s, cfg.alpha, y1, y2, linf, w1, w2, out=(y1, y2))
+                    if linf:
+                        np.maximum(np.abs(y1, out=w1), np.abs(y2, out=w2), out=row)
+                        row *= row
+                    else:
+                        np.multiply(y1, y1, out=row)
+                        row += np.multiply(y2, y2, out=w1)
+                for j in range(0, width, _NOISE_BLOCK):
+                    sums.add(sq[:, j:j + _NOISE_BLOCK])
+        yield first, sums
 
 
 def _workers(blocks: int) -> int:
@@ -331,16 +331,16 @@ def run_stochastic_km(cfg: McConfig) -> McResult:
 
     Returns after the Euclidean bound and its initial-distance check; the
     rows (mean, std_err) are computed as they are read, a step block at a
-    time.  Of the n noise blocks, process w of W runs the blocks
-    [n * w // W, n * (w + 1) // W), with W up to one per available CPU and
-    at most n (_workers); the first row read forks the others.  Per step
-    block this process adds each worker's exact sums to its own, in fork
-    order, and yields the block's rows.  Without noise (a = b = 0) all
-    replicas follow one path, which run_km steps as the rows are read, with
-    no array and no fork: each mean is its squared norm and each standard
-    error 0.  A non-finite squared norm raises NonFiniteError at its step; a
-    worker that sends no totals raises RuntimeError.  When the rows end, fail
-    or are closed, the workers are killed if still running, and reaped.
+    time.  Of the n noise blocks, process w of W runs the share
+    [n * w // W, n * (w + 1) // W) (_workers sets W); the first row read
+    forks the others.  Per step block this process adds each worker's exact
+    sums to its own, in fork order, and yields the block's rows.  Without
+    noise (a = b = 0) all replicas follow one path, which run_km steps as
+    the rows are read, with no array and no fork: each mean is its squared
+    norm and each standard error 0.  A non-finite squared norm raises
+    NonFiniteError at its step; a worker that sends no totals raises
+    RuntimeError.  When the rows end, fail or are closed, the workers are
+    killed if still running, and reaped.
     """
     bound: BoundCurve | None = None
     unstable = False
@@ -378,25 +378,15 @@ def _noisy_rows(cfg: McConfig) -> Iterator[tuple[float, float]]:
 
     n = -(-cfg.replicas // _NOISE_BLOCK)
     workers = _workers(n)
-
-    def blocks(w: int) -> Iterator[tuple[int, ExactSums]]:
-        """Each step block's first step and the exact sums of process w's squared norms in it."""
-        chunks = [_simulate_chunk(cfg, b) for b in range(n * w // workers, n * (w + 1) // workers)]
-        for first, sq in chunks[0]:  # the first chunk paces the blocks
-            sums = ExactSums(len(sq), cfg.replicas)
-            sums.add(sq)
-            for chunk in chunks[1:]:
-                sums.add(next(chunk)[1])
-            yield first, sums
-
+    shares = [range(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe), until it is reaped
     try:
         for w in range(1, workers):
             r, wfd = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: send each block's sums, leave without clean-up
+            if (pid := os.fork()) == 0:  # the child: send each step block's sums, leave without clean-up
                 try:
                     with open(wfd, "wb") as pipe:
-                        for _, sums in blocks(w):
+                        for _, sums in _simulate_share(cfg, shares[w]):
                             pickle.dump(sums, pipe)
                             pipe.flush()
                     os._exit(0)
@@ -407,7 +397,7 @@ def _noisy_rows(cfg: McConfig) -> Iterator[tuple[float, float]]:
                     os._exit(1)
             os.close(wfd)
             children.append((pid, open(r, "rb")))
-        for first, sums in blocks(0):
+        for first, sums in _simulate_share(cfg, shares[0]):
             for _, pipe in children:  # one worker at a time, in fork order
                 try:
                     sums.merge(pickle.load(pipe))

@@ -358,7 +358,7 @@ class TestMc:
         limit = stochastic.MAX_MC_REPLICAS
         assert run_cli(argv, capsys) == (3, "", f"error: replicas must be <= {limit}: got {replicas}\n")
 
-    # 4097 replicas are three chunks over two processes, and 3000 steps
+    # 4097 replicas are three noise blocks over two processes, and 3000 steps
     # outlast the first write; each way out must reap both workers
     MC_FORKED = "mc --theta 1/6 --B 0.1 --replicas 4097 --steps 3000".split()
 
@@ -373,7 +373,7 @@ class TestMc:
             return code
 
         monkeypatch.setattr(cli, "_write_csv", write_csv)
-        monkeypatch.setattr(stochastic, "_workers", lambda chunks: 2)
+        monkeypatch.setattr(stochastic, "_workers", lambda blocks: 2)
 
     def test_reader_gone_at_the_first_write_reaps_the_workers(self, monkeypatch, tmp_path):
         class BrokenPipeStdout:
@@ -1008,36 +1008,41 @@ def _config(alpha=0.5, replicas=5, steps=3, seed=7) -> McConfig:
 class TestRecords:
     """The records are tuples with the fields, defaults, repr, immutability and checks of their first form."""
 
-    REPRS = [
-        (Angle(1, 12), "Angle(p=1, q=12)"),
-        (Vec2(1.0, 2.0), "Vec2(x1=1.0, x2=2.0)"),
-        (NoiseParams(2.0), "NoiseParams(a=2.0, b=0.0)"),
-        (_config(), "McConfig(theta=Angle(p=1, q=4), alpha=0.5, x1=Vec2(x1=1.0, x2=3.0), "
-                    "noise=NoiseParams(a=2.0, b=0.0), replicas=5, steps=3, seed=7, norm_kind=<NormKind.L2: 'l2'>)"),
-        (BetaSearchResult(2, 0.5, Vec2(0.0, 1.0)),
-         "BetaSearchResult(period=2, beta_u=0.5, argmax_start=Vec2(x1=0.0, x2=1.0))"),
-        (BoundCurve((1.0, 0.5)), "BoundCurve(values=(1.0, 0.5))"),
-    ]
+    # built in their own cases, so a record whose fields change fails only those
+    RECORDS = {
+        "Angle": (lambda: Angle(1, 12), "Angle(p=1, q=12)"),
+        "Vec2": (lambda: Vec2(1.0, 2.0), "Vec2(x1=1.0, x2=2.0)"),
+        "NoiseParams": (lambda: NoiseParams(2.0), "NoiseParams(a=2.0, b=0.0)"),
+        "McConfig": (_config, "McConfig(theta=Angle(p=1, q=4), alpha=0.5, x1=Vec2(x1=1.0, x2=3.0), "
+                              "noise=NoiseParams(a=2.0, b=0.0), replicas=5, steps=3, seed=7, "
+                              "norm_kind=<NormKind.L2: 'l2'>)"),
+        "BetaSearchResult": (lambda: BetaSearchResult(2, 0.5, Vec2(0.0, 1.0)),
+                             "BetaSearchResult(period=2, beta_u=0.5, argmax_start=Vec2(x1=0.0, x2=1.0))"),
+        "BoundCurve": (lambda: BoundCurve((1.0, 0.5)), "BoundCurve(values=(1.0, 0.5))"),
+    }
 
     def test_angle_is_stored_in_lowest_terms_and_hashes_so(self):
         assert Angle(2, 24) == Angle(1, 12)
         assert hash(Angle(2, 24)) == hash(Angle(1, 12))
         assert cli.REFERENCE_BETA_U[Angle(2, 24)] == 0.8974
 
-    @pytest.mark.parametrize("record, text", REPRS)
-    def test_repr(self, record, text):
-        assert repr(record) == text
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr(self, name):
+        build, text = self.RECORDS[name]
+        assert repr(build()) == text
 
-    @pytest.mark.parametrize("record", [record for record, _ in REPRS])
-    def test_fields_cannot_be_assigned_or_added(self, record):
-        for name in type(record).__match_args__:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_assigned_or_added(self, name):
+        record = self.RECORDS[name][0]()
+        for field in type(record).__match_args__:
             with pytest.raises(AttributeError):
-                setattr(record, name, None)
+                setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = None
 
-    @pytest.mark.parametrize("record", [record for record, _ in REPRS])
-    def test_pickle_and_copy_round_trip(self, record):
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_pickle_and_copy_round_trip(self, name):
+        record = self.RECORDS[name][0]()
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert type(twin) is type(record) and twin == record
 

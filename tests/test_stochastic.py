@@ -141,9 +141,18 @@ class TestDrawNoise:
         assert float(np.mean(np.sum(z * z, axis=1))) == pytest.approx(2.0, rel=0.01)
 
 
-def chunk_paths(cfg, block):
-    """Squared norms of noise block `block`'s replicas, one row per step, as _simulate_chunk gives them."""
-    return np.concatenate([sq.copy() for _, sq in stochastic._simulate_chunk(cfg, block)])
+def block_paths(cfg, block):
+    """Squared norms of noise block `block`'s replicas, one row per step, as a process adds them to its sums."""
+    added = []
+
+    class Recorder(stochastic.ExactSums):
+        def add(self, sq):
+            added.append(sq.copy())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "ExactSums", Recorder)
+        deque(stochastic._simulate_share(cfg, range(block, block + 1)), maxlen=0)
+    return np.concatenate(added)
 
 
 class TestNoiseBlocks:
@@ -173,7 +182,7 @@ class TestNoiseBlocks:
     def test_full_block_paths_do_not_depend_on_the_replica_count(self, kind):
         def paths(replicas, block):
             cfg = make_config(replicas=replicas, steps=6, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
-            return chunk_paths(cfg, block).tolist()
+            return block_paths(cfg, block).tolist()
 
         # block 0 is full at any R >= 2048
         assert len({repr(paths(r, 0)) for r in (2048, 2050, 4096, 4100)}) == 1
@@ -187,7 +196,7 @@ class TestNoiseBlocks:
         # both, the second step's is numbers 4-5 at one and 6-7 at the other
         def paths(replicas):
             cfg = make_config(replicas=replicas, steps=3, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
-            return chunk_paths(cfg, 1)[:, 0].tolist()
+            return block_paths(cfg, 1)[:, 0].tolist()
 
         two, three = paths(2050), paths(2051)
         assert two[:2] == three[:2]
@@ -218,6 +227,7 @@ class TestRunStochastic:
         baselines = [mc_columns(cfg) for cfg in configs]
         for block in (1, 3, 7, 64, 200):
             monkeypatch.setattr(stochastic, "_BLOCK", block * 30)  # slabs of `block` steps
+            monkeypatch.setattr(stochastic, "_PASS", block * 30)  # summed in passes of a slab
             for cfg, baseline in zip(configs, baselines):
                 blocked = mc_columns(cfg)
                 assert blocked.mean_sq_norm == baseline.mean_sq_norm
@@ -235,7 +245,7 @@ class TestRunStochastic:
         # replicas 2046 and 2047 take the last rows of block 0's draws, 2048
         # and 2049 the only rows of block 1's, which holds 2 replicas
         cfg = make_config(alpha=0.35, noise=NoiseParams(0.7, 0.3), replicas=2050, steps=25, seed=99)
-        paths = np.concatenate([chunk_paths(cfg, 0)[:, 2046:], chunk_paths(cfg, 1)], axis=1)
+        paths = np.concatenate([block_paths(cfg, 0)[:, 2046:], block_paths(cfg, 1)], axis=1)
         assert paths.T.tolist() == scalar_paths(cfg, range(2046, 2050))
 
     @pytest.mark.parametrize("kind", NormKind)
@@ -302,6 +312,7 @@ class TestRunStochastic:
         cfg = make_config(replicas=100, norm_kind=NormKind.LINF)
         baseline = mc_columns(cfg)
         monkeypatch.setattr(stochastic, "_BLOCK", 5)
+        monkeypatch.setattr(stochastic, "_PASS", 5)
         folded = mc_columns(cfg)
         assert folded.mean_sq_norm == baseline.mean_sq_norm
         assert folded.std_err == baseline.std_err
@@ -315,7 +326,7 @@ class TestRunStochastic:
         # each squared norm is about 2e306, so their sum is not a finite double
         cfg = make_config(theta=Angle(1, 6), x1=Vec2(1e153, 1e153), replicas=100, steps=2)
         res = mc_columns(cfg)
-        sq = chunk_paths(cfg, 0)
+        sq = block_paths(cfg, 0)
         with pytest.raises(OverflowError):
             math.fsum(sq[0].tolist())
         for k in range(cfg.steps):
@@ -368,7 +379,7 @@ class TestRunStochastic:
         # 5000 replicas are three noise blocks: forked wherever there are two CPUs
         cfg = make_config(noise=NoiseParams(0.0, 0.0), replicas=5000, norm_kind=kind)
         monkeypatch.setattr(stochastic, "replica_rng", fail)
-        monkeypatch.setattr(stochastic, "_simulate_chunk", fail)
+        monkeypatch.setattr(stochastic, "_simulate_share", fail)
         monkeypatch.setattr(stochastic, "ExactSums", fail)
         monkeypatch.setattr(os, "fork", fail)
         res = mc_columns(cfg)
@@ -386,7 +397,7 @@ class TestRunStochastic:
     def test_memory_does_not_grow_with_replicas(self, monkeypatch):
         # the whole replicas x steps matrix would take 25 MiB; one process,
         # since tracemalloc sees only the allocations of this one
-        monkeypatch.setattr(stochastic, "_workers", lambda chunks: 1)
+        monkeypatch.setattr(stochastic, "_workers", lambda blocks: 1)
         replicas, steps = 16384, 200
         cfg = make_config(replicas=replicas, steps=steps, noise=NoiseParams(2.0, 0.1))
         tracemalloc.start()
@@ -398,9 +409,9 @@ class TestRunStochastic:
         assert peak < replicas * steps * 8 / 2
 
     def test_memory_does_not_grow_with_steps(self, monkeypatch):
-        # one chunk's noise and squared norms for the whole horizon would
+        # one noise block's noise and squared norms for the whole horizon would
         # take about 70 MiB; one process, as above
-        monkeypatch.setattr(stochastic, "_workers", lambda chunks: 1)
+        monkeypatch.setattr(stochastic, "_workers", lambda blocks: 1)
         cfg = make_config(replicas=2048, steps=1500, noise=NoiseParams(2.0, 0.0))
         tracemalloc.start()
         try:
@@ -425,19 +436,19 @@ class TestRunStochastic:
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(stochastic, "_workers", lambda chunks: workers)
+    monkeypatch.setattr(stochastic, "_workers", lambda blocks: workers)
 
 
 def untrace_children(monkeypatch):
     """Stop tracemalloc in forked workers, which inherit it: only this process's peak is measured."""
-    parent, real = os.getpid(), stochastic._simulate_chunk
+    parent, real = os.getpid(), stochastic._simulate_share
 
-    def chunk(cfg, block):
+    def share(cfg, blocks):
         if os.getpid() != parent:
             tracemalloc.stop()
-        return real(cfg, block)
+        return real(cfg, blocks)
 
-    monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+    monkeypatch.setattr(stochastic, "_simulate_share", share)
 
 
 class TestWorkers:
@@ -473,6 +484,7 @@ class TestWorkers:
         cfg = make_config(replicas=30, steps=130, noise=NoiseParams(2.0, 0.1))
         baseline = repr(mc_columns(cfg))
         monkeypatch.setattr(stochastic, "_BLOCK", 7 * steps)
+        monkeypatch.setattr(stochastic, "_PASS", 7 * steps)
         for workers in (1, 3):
             force_workers(monkeypatch, workers)
             assert repr(mc_columns(cfg)) == baseline
@@ -487,19 +499,56 @@ class TestWorkers:
                 mc_columns(cfg)
             assert_no_child_left()
 
+    @pytest.mark.parametrize("kind", NormKind)
+    def test_windows_do_not_change_a_bit(self, monkeypatch, kind):
+        # 43 replicas are seven noise blocks of 7, the last of 1; in windows
+        # of two blocks each share spans several windows, and the last one
+        # holds that single replica at 1 and 3 processes ([0, 2), [2, 4),
+        # [4, 7)); 16-step blocks over 40 steps
+        monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
+        monkeypatch.setattr(stochastic, "_BLOCK", 7 * 16)
+        cfg = make_config(replicas=43, noise=NoiseParams(2.0, 0.1), norm_kind=kind)
+        force_workers(monkeypatch, 1)
+        baseline = repr(mc_columns(cfg))
+        monkeypatch.setattr(stochastic, "_WINDOW", 2)
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            assert repr(mc_columns(cfg)) == baseline
+            assert_no_child_left()
+
+    def test_memory_grows_by_the_coordinates_only(self, monkeypatch):
+        # a process's scratch is sized to one window, so from 4 windows of
+        # replicas to 8 its peak grows by the two coordinates, 16 bytes a
+        # replica, and a generator per noise block; scratch sized to the
+        # share would add about 100 bytes a replica
+        force_workers(monkeypatch, 1)
+        window = stochastic._WINDOW * stochastic._NOISE_BLOCK
+
+        def peak(replicas):
+            tracemalloc.start()
+            try:
+                mc_columns(make_config(replicas=replicas, steps=3, noise=NoiseParams(2.0, 0.1)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(window)  # loads what a first run loads
+        grown = peak(8 * window) - peak(4 * window)
+        assert 16 * 4 * window <= grown < 17 * 4 * window
+
     def test_failed_parent_share_kills_and_reaps_the_children(self, monkeypatch):
         # each child would sleep for a minute; the run ends well before
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
         parent = os.getpid()
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             if os.getpid() == parent:
                 raise ValueError("the parent's share failed")
             time.sleep(60)
             return iter(())
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         t0 = time.monotonic()
         with pytest.raises(ValueError, match="the parent's share failed"):
             mc_columns(make_config(replicas=30))
@@ -509,14 +558,14 @@ class TestWorkers:
     def test_child_that_sends_nothing_fails_the_run(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
-        parent, real = os.getpid(), stochastic._simulate_chunk
+        parent, real = os.getpid(), stochastic._simulate_share
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(cfg, block)
+            return real(cfg, blocks)
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
             mc_columns(make_config(replicas=30))
         assert_no_child_left()
@@ -526,16 +575,16 @@ class TestWorkers:
         # second child would sleep for a minute per block
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
-        parent, real = os.getpid(), stochastic._simulate_chunk
+        parent, real = os.getpid(), stochastic._simulate_share
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             if os.getpid() != parent:
-                if block < 3:
+                if blocks.start < 3:
                     os._exit(1)
                 time.sleep(60)
-            return real(cfg, block)
+            return real(cfg, blocks)
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
             mc_columns(make_config(replicas=30))
@@ -546,14 +595,14 @@ class TestWorkers:
         # its wait status is a signal, not an exit code
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
-        parent, real = os.getpid(), stochastic._simulate_chunk
+        parent, real = os.getpid(), stochastic._simulate_share
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(cfg, block)
+            return real(cfg, blocks)
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
             mc_columns(make_config(replicas=30))
         assert_no_child_left()
@@ -563,14 +612,14 @@ class TestWorkers:
     def test_run_leaves_no_descriptor_open(self, monkeypatch, fails, error):
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
-        parent, real = os.getpid(), stochastic._simulate_chunk
+        parent, real = os.getpid(), stochastic._simulate_share
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             if fails == ("parent" if os.getpid() == parent else "child"):
                 raise ValueError("this share failed")
-            return real(cfg, block)
+            return real(cfg, blocks)
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         before = len(os.listdir("/proc/self/fd"))
         with pytest.raises(error) if error else contextlib.nullcontext():
             mc_columns(make_config(replicas=30))
@@ -606,14 +655,14 @@ class TestWorkers:
     def test_child_error_prints_its_traceback(self, monkeypatch, capfd):
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 2)
-        parent, real = os.getpid(), stochastic._simulate_chunk
+        parent, real = os.getpid(), stochastic._simulate_share
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             if os.getpid() != parent:
                 raise ValueError("a child's share failed")
-            return real(cfg, block)
+            return real(cfg, blocks)
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         with pytest.raises(RuntimeError, match="ended without sending its totals"):
             mc_columns(make_config(replicas=30))
         assert_no_child_left()
@@ -625,14 +674,14 @@ class TestWorkers:
         # processes, each logs the blocks it steps
         monkeypatch.setattr(stochastic, "_NOISE_BLOCK", 7)
         force_workers(monkeypatch, 3)
-        real, log = stochastic._simulate_chunk, tmp_path / "blocks"
+        real, log = stochastic._simulate_share, tmp_path / "blocks"
 
-        def chunk(cfg, block):
+        def share(cfg, blocks):
             with open(log, "a") as handle:
-                handle.write(f"{os.getpid()} {block}\n")
-            return real(cfg, block)
+                handle.writelines(f"{os.getpid()} {block}\n" for block in blocks)
+            return real(cfg, blocks)
 
-        monkeypatch.setattr(stochastic, "_simulate_chunk", chunk)
+        monkeypatch.setattr(stochastic, "_simulate_share", share)
         mc_columns(make_config(replicas=30))
         assert_no_child_left()
         shares = {}
